@@ -20,7 +20,6 @@ under --timings, which adds wall-clock measurements.
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -42,8 +41,6 @@ from .spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, power
 from .variational import VariationalBounds, basis_lower_bound, bounds_at, refine_bounds
 
 __all__ = ["main", "entry"]
-
-THREADS_ENV = "CONE_GAP_THREADS"
 
 
 def _sha256(path: str) -> str:
@@ -298,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines (default 0)")
     parser.add_argument("--report", metavar="PATH", help="also write the report bytes to PATH")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"reduction thread budget (>= 1; falls back to ${THREADS_ENV})",
-    )
     parser.add_argument("--timings", action="store_true", help="add wall-clock timings to the report")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -360,28 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError(f"thread budget must be >= 1, got {value}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        _resolve_threads(args)
         code, report = args.func(args)
     except ParseError as e:
         print(f"conegap: {e}", file=sys.stderr)

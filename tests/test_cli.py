@@ -196,17 +196,6 @@ def test_input_errors_exit_2(files, capsys, tmp_path):
     assert main(["certify", str(bad)]) == 2
     two = vectors("two.json", [[1, 1], [1, 2]])
     assert main(["bounds", matrix("sym.json", SYM), "--vector", two]) == 2
-    assert main(["--threads", "0", "certify", matrix("s2.json", SYM)]) == 2
-    capsys.readouterr()
-
-
-def test_threads_env_fallback(files, capsys, monkeypatch):
-    matrix, _, _, _ = files
-    path = matrix("sym.json", SYM)
-    monkeypatch.setenv("CONE_GAP_THREADS", "junk")
-    assert main(["certify", path]) == 2
-    monkeypatch.setenv("CONE_GAP_THREADS", "2")
-    assert main(["certify", path]) == 0
     capsys.readouterr()
 
 
