@@ -17,12 +17,13 @@ def main() -> None:
     values = np.exp(-((x[:, None] - x[None, :]) ** 2))
     grid = KernelGrid(x, np.full(8, 1 / 8), values)
 
-    cert = kernel_theta(grid)
+    # one sweep of the value table certifies the kernel and its Nystrom matrix
+    res = kernel_certify(grid)
+    cert = res.certificate
     print(f"kernel certificate: {cert.classification}, theta {cert.theta:.12f}")
     print(f"gap bound eta1(theta) {eta1(cert.theta):.12f}")
-
-    cert, triple = kernel_certify(grid)
-    print(f"lambda_1 of the discretized operator {triple.lam:.12f}")
+    print(f"lambda_1 of the discretized operator {res.triple.lam:.12f}")
+    print(f"observed gap r_deflated/|lambda_1| {res.r_deflated / abs(res.triple.lam):.12f}")
 
     spectrum = dense_spectrum_oracle(nystrom_matrix(grid))
     ratio = abs(spectrum[1]) / abs(spectrum[0])

@@ -27,6 +27,7 @@ __all__ = [
     "serialize_matrix",
     "serialize_vectors",
     "serialize_kernel",
+    "kernel_document",
     "canonical_json",
     "complex_pair",
 ]
@@ -225,11 +226,16 @@ def serialize_vectors(vectors) -> str:
     })
 
 
-def serialize_kernel(grid: KernelGrid) -> str:
-    """Canonical text of a kernel grid in the kernel file format."""
+def kernel_document(grid: KernelGrid) -> dict:
+    """A kernel grid as the JSON document of the kernel file format."""
     n = grid.n
-    return canonical_json({
+    return {
         "points": [float(p) for p in grid.points],
         "weights": [float(w) for w in grid.weights],
         "values": [[complex_pair(grid.values[i, j]) for j in range(n)] for i in range(n)],
-    })
+    }
+
+
+def serialize_kernel(grid: KernelGrid) -> str:
+    """Canonical text of a kernel grid in the kernel file format."""
+    return canonical_json(kernel_document(grid))

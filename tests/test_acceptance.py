@@ -131,7 +131,8 @@ def test_criterion_07_preorder_equivalence():
 def test_criterion_08_kernel_pipeline():
     points5 = np.linspace(0.0, 1.0, 5)
     const = KernelGrid(points5, np.full(5, 0.2), np.ones((5, 5)))
-    cert_c, triple_c = kernel_certify(const)
+    res_c = kernel_certify(const)
+    cert_c, triple_c = res_c.certificate, res_c.triple
     assert cert_c.theta == 0.0
     r = deflated_radius(nystrom_matrix(const), triple_c)
     assert r / abs(triple_c.lam) == 0.0

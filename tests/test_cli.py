@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conegap.cli import main
-from conegap.fileio import serialize_kernel, serialize_matrix, serialize_vectors
+from conegap.fileio import parse_kernel, serialize_kernel, serialize_matrix, serialize_vectors
 from conegap.kernel import KernelGrid
 
 SYM = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -154,6 +154,18 @@ def test_kernel_command_full_and_sampled(files, capsys):
     assert "deflation" not in rep  # sampling is triage, not a pipeline run
 
 
+def test_kernel_command_fail_exits_1(files, capsys):
+    _, _, kernel, _ = files
+    vals = np.ones((3, 3))
+    vals[0, 2] = -1.0
+    path = kernel("bad.json", KernelGrid(np.arange(3.0), np.ones(3), vals))
+    code, rep = run(capsys, "kernel", path)
+    assert code == 1
+    assert rep["certificate"]["classification"] == "fail"
+    assert rep["certificate"]["witness"] is not None
+    assert "eigen" not in rep and "deflation" not in rep
+
+
 def test_product_command(files, capsys):
     matrix, _, _, _ = files
     path = matrix("sym.json", SYM)
@@ -181,6 +193,13 @@ def test_grid_command_round_trips(files, capsys):
     code, rep = run(capsys, "kernel", str(path))
     assert code == 0
     assert rep["certificate"]["theta"] == pytest.approx(np.tanh(1.0), abs=1e-15)
+
+    # grid output and serialize_kernel are one file format, byte for byte
+    for preset in ("constant", "affine", "gaussian", "gaussian-twist"):
+        assert main(["grid", "--preset", preset]) == 0
+        blob = capsys.readouterr().out
+        path.write_text(blob)
+        assert blob == serialize_kernel(parse_kernel(str(path))) + "\n"
 
     assert main(["grid", "--preset", "gaussian", "--n", "1"]) == 2
     assert main(["grid", "--preset", "gaussian", "--param", "-1"]) == 2
@@ -222,14 +241,18 @@ def test_kernel_gaussian_24_converges(files, capsys):
 
 
 def test_gap_non_convergence_exits_3(files, capsys):
-    matrix, _, _, _ = files
-    path = matrix("hard.json", [[1.0, 0.001], [0.002, 1.0]])
-    code = main(["gap", path])
-    captured = capsys.readouterr()
-    assert code == 3
-    rep = json.loads(captured.out)
-    assert rep["eigen"]["converged"] is False
-    assert "did not converge" in captured.err
+    matrix, _, kernel, _ = files
+    hard = matrix("hard.json", [[1.0, 0.001], [0.002, 1.0]])
+    # the Nystrom matrix of this grid is the matrix above
+    grid = KernelGrid([0.0, 1.0], [1.0, 1.0], [[1.0, 0.002], [0.001, 1.0]])
+    for command, path in (("gap", hard), ("kernel", kernel("hard_grid.json", grid))):
+        code = main([command, path])
+        captured = capsys.readouterr()
+        assert code == 3
+        rep = json.loads(captured.out)
+        assert rep["eigen"]["converged"] is False
+        assert "deflation" not in rep
+        assert "did not converge" in captured.err
 
 
 def test_console_script(files):

@@ -116,16 +116,16 @@ def test_nystrom_eigenvalue_against_dense_oracle():
 
 def test_pipeline_constant_kernel_gap_zero():
     grid = KernelGrid(np.linspace(0, 1, 5), np.full(5, 0.2), np.ones((5, 5)))
-    cert, triple = kernel_certify(grid)
+    res = kernel_certify(grid)
+    cert, triple = res.certificate, res.triple
     assert cert.theta == 0.0
-    L = nystrom_matrix(grid)
-    r = deflated_radius(L, triple)
-    assert r / abs(triple.lam) == pytest.approx(0.0, abs=1e-12)
+    assert res.r_deflated / abs(triple.lam) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pipeline_gaussian_eight_nodes():
     grid = gauss_grid(8, gaussian)
-    cert, triple = kernel_certify(grid)
+    res = kernel_certify(grid)
+    cert, triple = res.certificate, res.triple
     assert cert.strict
     # theta is so close to 1 here that A's own threshold tol * (1 - eta_refined)
     # sits below the floating-point floor of the step; the stop is reached
@@ -136,19 +136,19 @@ def test_pipeline_gaussian_eight_nodes():
     assert triple.metric_error <= 1e-12
     assert triple.iterations < 1000
     L = nystrom_matrix(grid)
-    eta_obs = deflated_radius(L, triple) / abs(triple.lam)
+    eta_obs = res.r_deflated / abs(triple.lam)
     assert eta_obs <= eta1(cert.theta) + 1e-9
     ev = dense_spectrum_oracle(L)
     assert abs(ev[1]) / abs(ev[0]) <= eta1(cert.theta)
     # a threshold above the noise floor is attainable
-    _, t2 = kernel_certify(grid, power_tol=0.05)
+    t2 = kernel_certify(grid, power_tol=0.05).triple
     assert t2.converged and t2.metric_error <= 0.05
 
 
 def test_gaussian_eight_nodes_both_orbits_stop_early():
     grid = gauss_grid(8, gaussian)
     # converged needs the right and the left orbit to stop within max_iter
-    _, triple = kernel_certify(grid, max_iter=100)
+    triple = kernel_certify(grid, max_iter=100).triple
     assert triple.converged and triple.metric_error <= 1e-12
     L = nystrom_matrix(grid)
     ev, vecs = np.linalg.eig(L)
@@ -158,7 +158,8 @@ def test_gaussian_eight_nodes_both_orbits_stop_early():
 
 def test_pipeline_complex_kernel():
     grid = gauss_grid(6, complex_kernel)
-    cert, triple = kernel_certify(grid)
+    res = kernel_certify(grid)
+    cert, triple = res.certificate, res.triple
     assert cert.strict
     ev = dense_spectrum_oracle(nystrom_matrix(grid))
     assert abs(triple.lam - ev[0]) <= 1e-9 * abs(ev[0])
@@ -169,8 +170,13 @@ def test_pipeline_rejects_non_strict_kernel():
     vals = np.ones((3, 3))
     vals[0, 2] = -1.0
     grid = KernelGrid(np.arange(3.0), np.ones(3), vals)
-    with pytest.raises(ValueError):
-        kernel_certify(grid)
+    res = kernel_certify(grid)
+    assert res.certificate.classification == "fail"
+    assert res.triple is None and res.r_deflated is None
+
+
+def skew_kernel(x, y):
+    return np.exp(-((x - 0.5 * y) ** 2)) * (1 + 0.1j * x * y * y)
 
 
 def test_theta_is_weight_free():
@@ -181,6 +187,60 @@ def test_theta_is_weight_free():
     c1, c2 = kernel_theta(grid1), kernel_theta(grid2)
     assert c1.theta == c2.theta  # bitwise: the test never reads the weights
     assert c1.eta_refined == c2.eta_refined
+
+    # kernel_certify never sweeps L = V^T diag(w): the block test is invariant
+    # under transposition and positive diagonal scaling, so the certificate of
+    # V is that of L. Transposition swaps the 2nd and 3rd contraction numbers.
+    for kernel in (gaussian, complex_kernel, skew_kernel):
+        grid = gauss_grid(6, kernel)
+        c = kernel_theta(grid)
+        assert c.strict
+        pow2 = 2.0 ** rng.integers(-4, 4, grid.n)  # scaling by these is exact
+        cl = certify_matrix(nystrom_matrix(KernelGrid(grid.points, pow2, grid.values)))
+        assert cl.classification == c.classification
+        assert cl.theta == c.theta
+        d, dl = c.delta_sup, cl.delta_sup
+        assert (dl.d1, dl.d2, dl.d3, dl.d4) == (d.d1, d.d3, d.d2, d.d4)
+        assert cl.eta_simple == c.eta_simple
+        assert cl.eta_refined == c.eta_refined
+        assert cl.diam_bound == c.diam_bound
+        for _ in range(5):
+            w = rng.uniform(0.05, 4.0, grid.n)  # one rounding per entry of L
+            cl = certify_matrix(nystrom_matrix(KernelGrid(grid.points, w, grid.values)))
+            assert cl.classification == c.classification
+            assert abs(cl.eta_refined - c.eta_refined) <= 1e-12
+
+
+def test_kernel_certify_sweeps_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return certify_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("conegap.kernel.certify_matrix", counting)
+    grid = gauss_grid(6, complex_kernel)
+    res = kernel_certify(grid)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][0], grid.values)
+    assert res.r_deflated is not None
+    # the eigen-triple is that of L under the weight-free certificate, bit for bit
+    t = power_eigen(nystrom_matrix(grid), res.certificate)
+    assert res.triple.lam == t.lam
+    np.testing.assert_array_equal(res.triple.h, t.h)
+    np.testing.assert_array_equal(res.triple.nu, t.nu)
+    assert (res.triple.iterations, res.triple.residual, res.triple.metric_error, res.triple.converged) == (
+        t.iterations, t.residual, t.metric_error, t.converged)
+
+
+def test_non_converged_orbit_skips_deflation():
+    # L = [[1, .001], [.002, 1]] certifies strict, but every certified rate
+    # rounds to 1, so the orbit cannot stop
+    grid = KernelGrid([0.0, 1.0], [1.0, 1.0], [[1.0, 0.002], [0.001, 1.0]])
+    res = kernel_certify(grid, max_iter=50)
+    assert res.certificate.strict
+    assert res.triple is not None and not res.triple.converged
+    assert res.r_deflated is None
 
 
 def test_reweighting_preserves_eigenvalue_structure():
@@ -209,6 +269,5 @@ def test_discretization_consistency():
     lam = {}
     for n in (12, 16):
         grid = gauss_grid(n, gaussian, lo, hi)
-        cert, triple = kernel_certify(grid, power_tol=1e-11)
-        lam[n] = triple.lam
+        lam[n] = kernel_certify(grid, power_tol=1e-11).triple.lam
     assert abs(lam[12] - lam[16]) <= 1e-12 * abs(lam[16])
