@@ -5,7 +5,9 @@ pair. The module provides the membership tests, the angular aperture, the
 canonical decomposition over the nonnegative orthant, the projective
 gauges alpha and beta together with the metric they induce, the cone
 pre-order with a sampled counterpart, a real-orthant oracle for the
-metric, and a random member sampler built on the decomposition.
+metric, and a random member sampler built on the decomposition. The pair
+extrema phi and Phi behind all of these are evaluated as arrays over the
+pairs p <= q, bit-identical to the scalar core2x2 formulas (the test oracle).
 """
 
 import cmath
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core2x2 import DEFAULT_TOL, Complex2x2, Phi, phi
+from .core2x2 import DEFAULT_TOL, ROW_CONE_ERROR
 
 __all__ = [
     "as_vector",
@@ -132,13 +134,8 @@ def canonical_decompose(x, tol: float = DEFAULT_TOL) -> ConeDecomposition:
     return ConeDecomposition(lam, np.maximum(u1, 0.0), np.maximum(u2, 0.0))
 
 
-def _pair(x: np.ndarray, y: np.ndarray, p: int, q: int) -> Complex2x2:
-    return Complex2x2(complex(x[p]), complex(x[q]), complex(y[p]), complex(y[q]))
-
-
 def _validated_pair(x, y, tol: float):
-    vx = as_vector(x)
-    vy = as_vector(y)
+    vx, vy = as_vector(x), as_vector(y)
     if vx.shape != vy.shape:
         raise ValueError("vectors must have the same length")
     for name, v in (("x", vx), ("y", vy)):
@@ -149,6 +146,53 @@ def _validated_pair(x, y, tol: float):
     return vx, vy
 
 
+def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
+    """phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], p <= q in np.triu_indices order.
+
+    Each value repeats core2x2.phi/Phi operation for operation (complex
+    products in CPython's order, hypot for moduli as in abs(complex), squares
+    as abs(z) ** 2), so it is bit-identical to them. Like them it raises
+    ValueError when the rows of a pair leave the closed planar cone, checked
+    on every pair, and OverflowError where a square or |ad - bc| overflows.
+    """
+    p, q = np.triu_indices(x.size)
+    ar, ai, br, bi = x.real[p], x.imag[p], x.real[q], x.imag[q]
+    cr, ci, dr, di = y.real[p], y.imag[p], y.real[q], y.imag[q]
+    # numpy squares as x * x, but frob2's abs(z) ** 2 calls libm pow
+    sqx = np.array([abs(z) ** 2 for z in x.tolist()])
+    sqy = np.array([abs(z) ** 2 for z in y.tolist()])
+    with np.errstate(all="ignore"):
+        f2 = ((sqx[p] + sqx[q]) + sqy[p]) + sqy[q]
+        s = tol * f2
+        re_ab, re_cd = ar * br + ai * bi, cr * dr + ci * di
+        if np.any((re_ab < -s) | (re_cd < -s)):
+            raise ValueError(ROW_CONE_ERROR)
+        det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
+        det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
+        dmod = np.hypot(det_r, det_i)
+        if np.any(np.isinf(dmod) & np.isfinite(det_r) & np.isfinite(det_i)):
+            raise OverflowError("absolute value too large")
+        # |a conj(d) + b conj(c)| + |ad - bc|
+        ssum = np.hypot((ar * dr + ai * di) + (br * cr + bi * ci),
+                        (ai * dr - ar * di) + (bi * cr - br * ci)) + dmod
+        # rank one: the constant modulus |a/c|, or |b/d| when the first column carries no mass
+        first = sqx[p] + sqy[p] > s
+        mx, my = np.hypot(x.real, x.imag), np.hypot(y.real, y.imag)
+        num, den = np.where(first, mx[p], mx[q]), np.where(first, my[p], my[q])
+        one = np.where(den == 0.0, np.inf, num / den)
+        rank2, rank1 = dmod > s, f2 > tol * tol
+        lo = np.where(rank2, np.where(re_ab <= 0.0, 0.0, 2.0 * re_ab / ssum),
+                      np.where(rank1, one, np.inf))
+        hi = np.where(rank2, np.where(re_cd <= 0.0, np.inf, ssum / (2.0 * re_cd)),
+                      np.where(rank1, one, 0.0))
+    return lo, hi
+
+
+def _sup_Phi(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+    # fmax skips NaN, as the scalar running maximum does
+    return float(np.fmax.reduce(_gauges(x, y, tol)[1], initial=0.0))
+
+
 def beta(x, y, tol: float = DEFAULT_TOL) -> float:
     """Least t with x <= t y in the cone order: sup of Phi over coordinate pairs.
 
@@ -156,32 +200,13 @@ def beta(x, y, tol: float = DEFAULT_TOL) -> float:
     pair p = q contributes |x_p / y_p|. The value +inf is a valid result,
     meaning no finite multiple of y dominates x.
     """
-    vx, vy = _validated_pair(x, y, tol)
-    best = 0.0
-    n = vx.size
-    for p in range(n):
-        for q in range(p, n):
-            val = Phi(_pair(vx, vy, p, q), tol)
-            if val > best:
-                best = val
-            if math.isinf(best):
-                return best
-    return best
+    return _sup_Phi(*_validated_pair(x, y, tol), tol)
 
 
 def alpha(x, y, tol: float = DEFAULT_TOL) -> float:
     """Greatest t with t y <= x: inf of phi over coordinate pairs. Dual to beta."""
     vx, vy = _validated_pair(x, y, tol)
-    best = math.inf
-    n = vx.size
-    for p in range(n):
-        for q in range(p, n):
-            val = phi(_pair(vx, vy, p, q), tol)
-            if val < best:
-                best = val
-            if best == 0.0:
-                return best
-    return best
+    return float(np.fmin.reduce(_gauges(vx, vy, tol)[0], initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -197,8 +222,9 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> DistanceResult:
     Zero exactly on complex-projectively equal members; +inf when either
     gauge is infinite (boundary members with mismatched supports).
     """
-    bxy = beta(x, y, tol)
-    byx = beta(y, x, tol)
+    vx, vy = _validated_pair(x, y, tol)
+    bxy = _sup_Phi(vx, vy, tol)
+    byx = _sup_Phi(vy, vx, tol)
     if math.isinf(bxy) or math.isinf(byx):
         d = math.inf
     else:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-12
+ROW_CONE_ERROR = "rows must lie in the closed planar cone: need Re(a conj(b)) >= 0 and Re(c conj(d)) >= 0"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -227,9 +228,7 @@ def _check_row_cone(M: Complex2x2, tol: float) -> None:
     re_ab = (M.a * M.b.conjugate()).real
     re_cd = (M.c * M.d.conjugate()).real
     if re_ab < -s or re_cd < -s:
-        raise ValueError(
-            "rows must lie in the closed planar cone: need Re(a conj(b)) >= 0 and Re(c conj(d)) >= 0"
-        )
+        raise ValueError(ROW_CONE_ERROR)
 
 
 def Phi(M, tol: float = DEFAULT_TOL) -> float:

@@ -113,25 +113,29 @@ def _power_rate(M: np.ndarray, eta: float, tol: float) -> tuple[int, float]:
     return best
 
 
+def _orbit_step(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step x -> M x / (M x)[0] of the normalized power orbit."""
+    y = M @ x
+    y0 = complex(y[0])
+    if y0 == 0:
+        raise RuntimeError("normalization functional vanished on the orbit")
+    return y / y0
+
+
 def _power_orbit(M: np.ndarray, tol: float, max_iter: int, eta: float, p: int):
     """Iterate x -> M x / (M x)[0] until d(x_{k-p}, x_k) <= tol (1 - eta).
 
     Returns the last iterate, the step count, the last p-step (+inf before
     step p) and whether the stop rule was met.
     """
-    n = M.shape[0]
-    x = np.ones(n, dtype=complex)
+    x = np.ones(M.shape[0], dtype=complex)
     thresh = tol * (1.0 - eta)
     back = deque([x], maxlen=p)  # x_{k-p}, ..., x_{k-1}
     gap = math.inf
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
-        y = M @ x
-        y0 = complex(y[0])
-        if y0 == 0:
-            raise RuntimeError("normalization functional vanished on the orbit")
-        x = y / y0
+        x = _orbit_step(M, x)
         if k >= p:
             gap = distance(back[0], x).distance
             if gap <= thresh:
@@ -177,8 +181,7 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
     return EigenTriple(lam, h, nu, iters, residual, metric_error, converged)
 
 
-def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8,
-                    seed: int = 0, rng=None) -> float:
+def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8, seed: int = 0) -> float:
     """Spectral-radius estimate of the deflated operator B = A - lam h nu^T.
 
     Runs plain power iteration from several random complex starts and takes
@@ -190,8 +193,7 @@ def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8,
         raise ValueError("need at least one iteration")
     M = as_matrix(A)
     B = M - triple.lam * np.outer(triple.h, triple.nu)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = M.shape[0]
     best = 0.0
     for _ in range(max(1, int(starts))):

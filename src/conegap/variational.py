@@ -1,11 +1,10 @@
 """Variational bounds on the leading eigenvalue modulus.
 
-Every nonzero cone member x sandwiches |lambda_1| between
-alpha(Ax, x) and beta(Ax, x), evaluated blockwise through the pair
-matrices [[(Ax)_p, (Ax)_q], [x_p, x_q]]. Two closed-form specializations
-(the best basis vector and the all-ones vector) give cheap lower bounds,
-and running the bounds along the power orbit tightens the sandwich at the
-certified rate.
+Every nonzero cone member x sandwiches |lambda_1| between alpha(Ax, x) = inf
+phi and beta(Ax, x) = sup Phi over the pair matrices [[(Ax)_p, (Ax)_q], [x_p,
+x_q]], read off cone's array gauges. Two closed forms (the best basis vector
+and the all-ones vector) give cheap lower bounds, and running the bounds
+along the power orbit tightens the sandwich at the certified rate.
 """
 
 import math
@@ -14,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import ContractionCertificate, as_matrix
-from .cone import as_vector, member_closed
-from .core2x2 import DEFAULT_TOL, Complex2x2, Phi, phi
+from .cone import _gauges, as_vector, member_closed
+from .core2x2 import DEFAULT_TOL
+from .spectral import _orbit_step
 
 __all__ = [
     "VariationalBounds",
@@ -44,17 +44,16 @@ def _square(A) -> np.ndarray:
     return M
 
 
-def bounds_at(A, x, tol: float = DEFAULT_TOL, use_transpose: bool = False) -> VariationalBounds:
+def bounds_at(A, x, tol: float = DEFAULT_TOL) -> VariationalBounds:
     """Sandwich at one test vector: lower = inf phi, upper = sup Phi over pairs.
 
     x must be a nonzero member of the closed cone and A must map it back into
     the cone (any matrix with a closed or strict certificate does). The upper
     bound may be +inf on boundary test vectors; +inf never tightens the min,
-    so the lower bound stays finite.
+    so the lower bound stays finite. argmin and argmax are the first pairs,
+    in (p, q) order, that attain the bounds. For the left eigenvalue pass A.T.
     """
     M = _square(A)
-    if use_transpose:
-        M = M.T
     v = as_vector(x)
     if v.size != M.shape[0]:
         raise ValueError("test vector length must match the matrix")
@@ -65,59 +64,38 @@ def bounds_at(A, x, tol: float = DEFAULT_TOL, use_transpose: bool = False) -> Va
     y = M @ v
     if float(np.vdot(y, y).real) != 0.0 and not member_closed(y, tol):
         raise ValueError("matrix does not map the test vector into the cone")
-    lower = math.inf
-    upper = 0.0
-    argmin = None
-    argmax = None
-    n = v.size
-    for p in range(n):
-        for q in range(p, n):
-            pair = Complex2x2(complex(y[p]), complex(y[q]), complex(v[p]), complex(v[q]))
-            lo = phi(pair, tol)
-            if lo < lower:
-                lower, argmin = lo, (p, q)
-            hi = Phi(pair, tol)
-            if hi > upper:
-                upper, argmax = hi, (p, q)
-    if math.isinf(lower):
-        lower = 0.0  # only possible when A x = 0 on the support of x
-        argmin = None
-    return VariationalBounds(lower, upper, argmin, argmax, v)
+    lo, hi = _gauges(y, v, tol)
+    pairs = np.transpose(np.triu_indices(v.size)).tolist()
+    # fmin/fmax skip NaN, as the scalar running extrema do; argmax gives the first hit
+    lower = float(np.fmin.reduce(lo, initial=math.inf))
+    upper = float(np.fmax.reduce(hi, initial=0.0))
+    argmax = None if upper == 0.0 else tuple(pairs[int(np.argmax(hi == upper))])
+    if math.isinf(lower):  # only possible when A x = 0 on the support of x
+        return VariationalBounds(0.0, upper, None, argmax, v)
+    return VariationalBounds(lower, upper, tuple(pairs[int(np.argmax(lo == lower))]), argmax, v)
 
 
-def basis_lower_bound(A, use_transpose: bool = False) -> float:
+def basis_lower_bound(A) -> float:
     """Best standard-basis lower bound: max_i min_j Re(A[j,i] conj(A[i,i])) / |A[j,i]|.
 
     Terms with A[j,i] = 0 are +inf and drop out of the min; an all-zero
     column contributes 0. Equals max_i bounds_at(A, e_i).lower.
     """
     M = _square(A)
-    if use_transpose:
-        M = M.T
-    n = M.shape[0]
-    best = 0.0
-    for i in range(n):
-        col_min = math.inf
-        aii = complex(M[i, i])
-        for j in range(n):
-            aji = complex(M[j, i])
-            if aji == 0:
-                continue
-            val = (aji * aii.conjugate()).real / abs(aji)
-            if val < col_min:
-                col_min = val
-        if math.isinf(col_min):
-            col_min = 0.0  # zero column: A e_i = 0
-        if col_min > best:
-            best = col_min
-    return best
+    with np.errstate(all="ignore"):
+        mod = np.hypot(M.real, M.imag)
+        # Re(A[j,i] conj(A[i,i])) / |A[j,i]|, spelled out as CPython evaluates it
+        terms = np.where(M == 0, np.inf, (M.real * M.real.diagonal() + M.imag * M.imag.diagonal()) / mod)
+    if np.any(np.isinf(mod)):  # abs() raises where the modulus of a finite entry overflows
+        raise OverflowError("absolute value too large")
+    col_min = np.fmin.reduce(terms, axis=0, initial=math.inf)  # fmin skips NaN, as `<` does
+    # max() keeps 0.0 over -0.0 and NaN, as the scalar running maximum does
+    return max(0.0, float(np.fmax.reduce(np.where(np.isinf(col_min), 0.0, col_min))))
 
 
-def ones_lower_bound(A, use_transpose: bool = False) -> float:
+def ones_lower_bound(A) -> float:
     """Lower bound at the all-ones vector, via the pair infimum on the row sums."""
     M = _square(A)
-    if use_transpose:
-        M = M.T
     return bounds_at(M, np.ones(M.shape[0], dtype=complex)).lower
 
 
@@ -135,10 +113,9 @@ def refine_bounds(A, cert: ContractionCertificate, iters: int,
         raise ValueError("iteration count must be nonnegative")
     M = _square(A)
     x = np.ones(M.shape[0], dtype=complex)
-    out = []
-    for k in range(iters + 1):
-        b = bounds_at(M, x, tol)
-        out.append(b)
+    out = [bounds_at(M, x, tol)]
+    for _ in range(iters):
+        b = out[-1]
         if (
             gap_rtol is not None
             and b.lower > 0.0
@@ -146,10 +123,6 @@ def refine_bounds(A, cert: ContractionCertificate, iters: int,
             and b.upper - b.lower <= gap_rtol * b.lower
         ):
             break
-        if k < iters:
-            y = M @ x
-            y0 = complex(y[0])
-            if y0 == 0:
-                raise RuntimeError("normalization functional vanished on the orbit")
-            x = y / y0
+        x = _orbit_step(M, x)
+        out.append(bounds_at(M, x, tol))
     return out

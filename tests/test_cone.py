@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from conegap.cone import (
+    _gauges,
     alpha,
     aperture,
     beta,
@@ -16,6 +18,7 @@ from conegap.cone import (
     preorder_sample_check,
     random_member,
 )
+from conegap.core2x2 import DEFAULT_TOL, Complex2x2, Phi, phi
 
 
 def cvec(*entries):
@@ -188,6 +191,114 @@ def test_beta_dominates_sampled_functionals(rng):
             if den > 1e-12:
                 best = max(best, abs(np.dot(mu, x)) / den)
         assert b >= best - 1e-6 * max(1.0, b)
+
+
+def scalar_gauges(x, y):
+    """phi and Phi of each pair, p <= q in order, by the core2x2 formulas.
+
+    A pair on which a formula raises gives the exception type instead.
+    """
+    def outcome(f, M):
+        try:
+            return f(M)
+        except (ValueError, OverflowError) as e:
+            return type(e)
+
+    n = x.size
+    pairs = [Complex2x2(x[p], x[q], y[p], y[q]) for p in range(n) for q in range(p, n)]
+    return [outcome(phi, M) for M in pairs], [outcome(Phi, M) for M in pairs]
+
+
+def assert_gauges_match_scalar(x, y):
+    """_gauges equals phi/Phi bit for bit, and raises only where a pair does."""
+    want_lo, want_hi = scalar_gauges(x, y)
+    raised = {v for v in want_lo + want_hi if isinstance(v, type)}
+    try:
+        lo, hi = _gauges(x, y, DEFAULT_TOL)
+    except (ValueError, OverflowError) as e:
+        assert type(e) in raised
+        return
+    assert not raised
+    # repr tells apart -0.0 and 0.0 and keeps nan equal to nan
+    assert [repr(v) for v in lo.tolist()] == [repr(v) for v in want_lo]
+    assert [repr(v) for v in hi.tolist()] == [repr(v) for v in want_hi]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gauges_match_scalar_on_random_members(n, rng):
+    for _ in range(10):
+        x, y = random_member(rng, n), random_member(rng, n, interior=True)
+        assert_gauges_match_scalar(x, y)
+        assert_gauges_match_scalar(y, x)
+        assert_gauges_match_scalar(x, x)
+
+
+def test_gauges_match_scalar_with_zero_entries(rng):
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        x, y = random_member(rng, n), random_member(rng, n)
+        x[rng.random(n) < 0.4] = 0.0
+        y[rng.random(n) < 0.2] = 0.0
+        assert_gauges_match_scalar(x, y)
+        assert_gauges_match_scalar(y, x)
+
+
+def test_gauges_match_scalar_on_rank_one_pairs(rng):
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        x = random_member(rng, n)
+        c = complex(*rng.uniform(-2.0, 2.0, 2))
+        assert_gauges_match_scalar(x, c * x)
+        assert_gauges_match_scalar(c * x, x)
+
+
+@pytest.mark.parametrize("x, y", [
+    (cvec(1, 1j), cvec(1, 1)),
+    (cvec(1, 1j), cvec(1j, -1)),
+    (cvec(1, 1j, 0), cvec(1, 0, 1j)),
+    (cvec(1, 0), cvec(0, 1)),
+    (cvec(0, 0), cvec(1, 1)),
+    (cvec(1, -1), cvec(1, 1)),  # a row outside the planar cone
+])
+def test_gauges_match_scalar_on_boundary_pairs(x, y):
+    assert_gauges_match_scalar(x, y)
+    assert_gauges_match_scalar(y, x)
+
+
+@pytest.mark.parametrize("sx, sy", [(1e150, 1.0), (1e-150, 1.0), (1e150, 1e-150),
+                                    (1.2e154, 1.0), (1.2e154, 1.2e154), (1e150, 1e-160),
+                                    (1e-160, 1e-160), (1e160, 1.0)])
+def test_gauges_match_scalar_at_extreme_scales(sx, sy, rng):
+    # squares overflow past ~1.3e154 (OverflowError in both); near 1e154 frob2
+    # overflows to inf and the rank test falls to rank one; around 1e-160 the
+    # squares are subnormal, pairs fall to rank zero and ratios overflow to inf
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        x, y = sx * random_member(rng, n), sy * random_member(rng, n)
+        assert_gauges_match_scalar(x, y)
+        assert_gauges_match_scalar(y, x)
+
+
+def test_gauges_raise_where_the_determinant_modulus_overflows():
+    # |ad - bc| is finite in each part but not in modulus: abs() raises
+    a = 1.34e154 * cmath.exp(1j * math.pi / 8)
+    b = 0.752e154 * cmath.exp(5j * math.pi / 8)
+    with pytest.raises(OverflowError):
+        Phi(Complex2x2(a, b, b, a))
+    with pytest.raises(OverflowError):
+        _gauges(cvec(a, b), cvec(b, a), DEFAULT_TOL)
+
+
+def test_row_cone_error_does_not_depend_on_coordinate_order():
+    # x is a closed member up to tol * ||x||^2, but the pair (1, 2) leaves the
+    # planar cone by more than tol * frob2 of its pair matrix
+    x = cvec(1000, 1e-3 * cmath.exp(-1e-5j), 1e-3j)
+    y = np.ones(3, dtype=complex)
+    assert member_closed(x)
+    for call in (beta, alpha, distance):
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="planar cone"):
+                call(u, v)
 
 
 def test_preorder_examples():

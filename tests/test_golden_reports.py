@@ -1,8 +1,9 @@
 """Canonical report bytes of the demo inputs, pinned.
 
 The expected files in tests/golden/ are the stdout of each command, run from
-the repository root. These reports depend only on the block sweep (no BLAS
-call), so a change to the sweep must leave them byte for byte the same.
+the repository root. These reports depend only on the block sweep and the
+pair gauges phi/Phi behind the metric and the variational bounds (no BLAS
+call), so a change to either must leave them byte for byte the same.
 """
 
 from pathlib import Path
@@ -19,6 +20,11 @@ COMMANDS = {
     "certify_sym": ["certify", "demos/data/sym.json"],
     "product_sym_sym": ["product", "demos/data/sym.json", "demos/data/sym.json"],
     "kernel_sample5_gaussian8": ["kernel", "--sample", "5", "demos/data/gaussian8.json"],
+    "metric_vectors_0_1": ["metric", "demos/data/vectors.json", "0", "1"],
+    "metric_vectors_0_2": ["metric", "demos/data/vectors.json", "0", "2"],
+    "metric_vectors_1_2": ["metric", "demos/data/vectors.json", "1", "2"],
+    "bounds_refine10_sym": ["bounds", "demos/data/sym.json", "--refine", "10"],
+    "bounds_refine10_identity": ["bounds", "demos/data/identity.json", "--refine", "10"],
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conegap.certify import certify_matrix
 from conegap.cone import alpha, beta, random_member
+from conegap.core2x2 import DEFAULT_TOL, Complex2x2, Phi, phi
 from conegap.spectral import dense_spectrum_oracle, power_eigen
 from conegap.variational import (
     basis_lower_bound,
@@ -29,11 +30,10 @@ def test_bounds_at_examples():
 
     z = bounds_at(np.zeros((2, 2)), [1, 1])
     assert z.lower == 0.0 and z.upper == 0.0
+    assert z.argmin == (0, 0) and z.argmax is None
 
 
 def test_bounds_at_records_extremal_pairs():
-    from conegap.core2x2 import Complex2x2, Phi, phi
-
     A = np.diag([1.0, 2.0])
     b = bounds_at(A, [1, 1])
     assert b.lower == pytest.approx(1.0) and b.argmin == (0, 0)
@@ -44,6 +44,39 @@ def test_bounds_at_records_extremal_pairs():
     assert Phi(Complex2x2(y[p], y[q], 1, 1)) == pytest.approx(b.upper)
     p, q = b.argmin
     assert phi(Complex2x2(y[p], y[q], 1, 1)) == pytest.approx(b.lower)
+
+
+def reference_bounds(A, x, tol=DEFAULT_TOL):
+    """Running extrema of phi and Phi pair by pair, keeping the first extremal pair."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(A, dtype=complex) @ x
+    lower, upper, argmin, argmax = math.inf, 0.0, None, None
+    for p in range(x.size):
+        for q in range(p, x.size):
+            pair = Complex2x2(y[p], y[q], x[p], x[q])
+            lo, hi = phi(pair, tol), Phi(pair, tol)
+            if lo < lower:
+                lower, argmin = lo, (p, q)
+            if hi > upper:
+                upper, argmax = hi, (p, q)
+    if math.isinf(lower):
+        lower, argmin = 0.0, None
+    return repr(lower), repr(upper), argmin, argmax
+
+
+def test_bounds_at_matches_pair_loop(rng):
+    # ties (equal rows, identity), zero images and boundary vectors included
+    cases = [(np.ones((4, 4)), np.ones(4)), (np.eye(3), np.ones(3)), (np.diag([2.0, 1.0, 2.0]), np.ones(3)),
+             (np.zeros((3, 3)), np.ones(3)), (SYM, [1, 0]), (HERM, [1, 1j])]
+    for _ in range(40):
+        A, _ = random_certified_matrix(rng, 5)
+        x = random_member(rng, 5)
+        x[rng.random(5) < 0.3] = 0.0
+        if np.any(x != 0):
+            cases.append((A, x))
+    for A, x in cases:
+        b = bounds_at(A, x)
+        assert (repr(b.lower), repr(b.upper), b.argmin, b.argmax) == reference_bounds(A, x)
 
 
 def test_bounds_sandwich_oracle(rng):
@@ -63,8 +96,8 @@ def test_bounds_match_projective_aperture(rng):
         x = random_member(rng, 4)
         b = bounds_at(A, x)
         y = A @ x
-        assert b.lower == pytest.approx(alpha(y, x), rel=1e-12, abs=1e-12)
-        assert b.upper == pytest.approx(beta(y, x), rel=1e-12, abs=1e-12)
+        assert b.lower == alpha(y, x)
+        assert b.upper == beta(y, x)
 
 
 def test_bounds_tight_at_eigenvector(rng):
@@ -86,11 +119,12 @@ def test_bounds_one_sided_on_closed_class():
 
 
 def test_use_transpose_bounds_left_eigenvalue():
+    # the left eigenvalue is sandwiched by bounds on the transpose
     A = np.array([[2.0, 1.0], [0.5, 2.0]])
     lam1 = abs(dense_spectrum_oracle(A)[0])
-    b = bounds_at(A, [1, 1], use_transpose=True)
+    b = bounds_at(A.T, [1, 1])
     assert b.lower <= lam1 <= b.upper
-    assert b.lower == pytest.approx(bounds_at(A.T, [1, 1]).lower)
+    assert b.lower == ones_lower_bound(A.T)
 
 
 def test_basis_lower_bound_examples():
@@ -103,6 +137,38 @@ def test_basis_lower_bound_equals_best_basis_vector(rng):
     A, _ = random_certified_matrix(rng, 5)
     best = max(bounds_at(A, np.eye(5)[i]).lower for i in range(5))
     assert basis_lower_bound(A) == pytest.approx(best, rel=1e-12)
+
+
+def scalar_basis_lower_bound(A):
+    """The closed form column by column with Python complex arithmetic."""
+    n = A.shape[0]
+    best = 0.0
+    for i in range(n):
+        col_min = math.inf
+        for j in range(n):
+            aji = complex(A[j, i])
+            if aji != 0:
+                col_min = min(col_min, (aji * complex(A[i, i]).conjugate()).real / abs(aji))
+        if not math.isinf(col_min) and col_min > best:
+            best = col_min
+    return best
+
+
+def test_basis_lower_bound_matches_scalar_loop(rng):
+    for k in range(60):
+        n = int(rng.integers(1, 7))
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if k % 3 == 1:  # zero entries, a zero diagonal entry, a zero column
+            A[rng.random((n, n)) < 0.4] = 0.0
+            A[0, 0] = 0.0
+            A[:, n - 1] = 0.0
+        elif k % 3 == 2:  # nonnegative real: all terms of one sign
+            A = np.abs(A.real) * (rng.random((n, n)) < 0.7)
+        assert repr(basis_lower_bound(A)) == repr(scalar_basis_lower_bound(A))
+    huge = np.array([[1.5e308 + 1.5e308j, 1.0], [1.0, 1.0]])  # finite parts, modulus overflows
+    for f in (basis_lower_bound, scalar_basis_lower_bound):
+        with pytest.raises(OverflowError):
+            f(huge)
 
 
 def test_ones_lower_bound_examples():
