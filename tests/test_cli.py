@@ -218,6 +218,23 @@ def test_input_errors_exit_2(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_gap_rejects_bad_iteration_arguments(files, capsys):
+    matrix, _, _, _ = files
+    path = matrix("sym.json", SYM)
+    cases = [
+        (["--starts", "0"], "start"), (["--starts", "-3"], "start"),
+        (["--tol", "-1"], "tolerance"), (["--tol", "nan"], "tolerance"), (["--tol", "inf"], "tolerance"),
+        (["--max-iter", "-5"], "max_iter"), (["--max-iter", "0"], "max_iter"),
+    ]
+    for flags, word in cases:
+        assert main(["gap", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
+    assert main(["gap", path, "--tol", "0"]) == 0  # stops only at an exact fixed point
+    capsys.readouterr()
+
+
 def test_verify_needs_small_matrix(files, capsys):
     matrix, _, _, _ = files
     big = matrix("big.json", np.full((17, 17), 1.0) + 0.1 * np.eye(17))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,13 @@ import pytest
 
 from conegap import spectral
 from conegap.certify import certify_matrix, certify_perturbed
+from conegap.cli import GRID_PRESETS, main
 from conegap.cone import distance, member_closed, random_member
-from conegap.spectral import deflated_radius, dense_spectrum_oracle, power_eigen
+from conegap.fileio import parse_kernel
+from conegap.kernel import nystrom_matrix
+from conegap.spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, power_eigen
 from tests.conftest import random_certified_matrix
+from tests.reference_spectral import reference_deflated_radius
 
 SYM = np.array([[2.0, 1.0], [1.0, 2.0]])
 RANK1 = np.ones((2, 2))
@@ -57,6 +63,18 @@ def test_power_eigen_requires_strict_and_square():
     rect = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         power_eigen(rect, certify_matrix(rect))
+
+
+def test_power_eigen_rejects_bad_stop_arguments():
+    cert = certify_matrix(SYM)
+    for tol in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            power_eigen(SYM, cert, tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter"):
+            power_eigen(SYM, cert, max_iter=max_iter)
+    # tol = 0 asks for an exact fixed point, which the all-ones start is here
+    assert power_eigen(SYM, cert, tol=0.0).converged
 
 
 def test_power_eigen_flags_non_convergence():
@@ -201,6 +219,127 @@ def test_deflated_radius_is_seeded():
     assert deflated_radius(SYM, t, seed=5) == deflated_radius(SYM, t, seed=5)
     with pytest.raises(ValueError):
         deflated_radius(SYM, t, iters=0)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, TypeError) as e:
+        return type(e)
+
+
+# the block product and column norms round differently from the start-by-start
+# vector products and norms, by a few units of the double epsilon per step
+REL = 1e-12
+
+
+def assert_matches_reference(A, triple, **kwargs):
+    got = _outcome(deflated_radius, A, triple, **kwargs)
+    want = _outcome(reference_deflated_radius, A, triple, **kwargs)
+    if isinstance(want, float):
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=REL)
+    else:
+        assert got is want
+    return got
+
+
+DEFLATION_ARGS = [dict(iters=i, starts=s, seed=seed)
+                  for i in (1, 2, 3, 200) for s in (1, 8, 13) for seed in (0, 7, 2024)]
+
+
+def test_deflated_radius_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(606)
+    for n in range(2, 13):
+        A, cert = random_certified_matrix(rng, n)
+        t = power_eigen(A, cert, tol=1e-9)
+        for kwargs in DEFLATION_ARGS:
+            assert 0.0 < assert_matches_reference(A, t, **kwargs) < math.inf
+
+
+def test_deflated_radius_matches_reference_on_kernel_presets(tmp_path, capsys):
+    for name, n in itertools.product(sorted(GRID_PRESETS), ("8", "16")):
+        path = tmp_path / f"{name}{n}.json"
+        assert main(["--report", str(path), "grid", "--preset", name, "--n", n]) == 0
+        L = nystrom_matrix(parse_kernel(str(path)))
+        t = power_eigen(L, certify_matrix(L))
+        for kwargs in DEFLATION_ARGS:
+            if name == "constant":  # rank one: both sit at the rounding level of B
+                assert deflated_radius(L, t, **kwargs) <= 1e-12
+                assert reference_deflated_radius(L, t, **kwargs) <= 1e-12
+            else:
+                assert assert_matches_reference(L, t, **kwargs) > 0.0
+    capsys.readouterr()
+
+
+def test_deflated_radius_rank_one_matches_reference():
+    t = power_eigen(RANK1, certify_matrix(RANK1))
+    for kwargs in DEFLATION_ARGS:
+        assert deflated_radius(RANK1, t, **kwargs) <= 1e-12
+        assert reference_deflated_radius(RANK1, t, **kwargs) <= 1e-12
+
+
+def _plain(A):
+    # lam = 0 makes B = A exactly
+    n = np.asarray(A).shape[0]
+    return EigenTriple(0j, np.ones(n, dtype=complex), np.ones(n, dtype=complex), 0, 0.0, 0.0, True)
+
+
+def test_annihilated_starts_are_skipped():
+    # B = [[0, 1], [0, 0]]: B z = (z_1, 0) and B^2 z = 0, so every start is
+    # annihilated at step 2 and the estimate is 0; one step leaves all alive.
+    # Skipping a start is not a floating-point fault, so nothing warns.
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kwargs in DEFLATION_ARGS:
+            r = assert_matches_reference(N, _plain(N), **kwargs)
+            assert (r > 0.0) if kwargs["iters"] == 1 else (r == 0.0)
+
+
+def test_nan_rates_are_skipped():
+    # B = A - lam h nu^T overflows to +inf in every entry, so after the first
+    # step every norm is NaN; no rate survives and the estimate is 0
+    A = np.full((2, 2), 1e308)
+    triple = EigenTriple(-1e308 + 0j, np.ones(2, dtype=complex), np.ones(2, dtype=complex), 0, 0.0, 0.0, True)
+    with np.errstate(all="ignore"):
+        for kwargs in DEFLATION_ARGS:
+            if kwargs["iters"] > 1:
+                assert assert_matches_reference(A, triple, **kwargs) == 0.0
+
+
+def test_overflowed_start_is_skipped_and_the_others_kept():
+    # B = [[1, s], [0, 1]]: the first step's norm is about s |z_1|, which
+    # overflows in the squared sum for some starts and not for others. An
+    # overflowed start is divided by +inf to the zero vector and its next norm
+    # is exactly 0, so it is skipped; the others grow by factors near 1.
+    n, starts, seed = 2, 13, 3
+    rng = np.random.default_rng(seed)
+    second = []
+    for _ in range(starts):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        second.append(abs(z[1]) / np.linalg.norm(z))
+    cut = sorted(second)[starts // 2]
+    assert min(abs(f - cut) for f in second if f != cut) > 0.01 * cut
+    s = math.sqrt(np.finfo(float).max) / cut  # |s z_1|^2 overflows for the larger half
+    J = np.array([[1.0, s], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        assert math.isinf(assert_matches_reference(J, _plain(J), iters=1, starts=starts, seed=seed))
+        for iters in (2, 3, 200):
+            r = assert_matches_reference(J, _plain(J), iters=iters, starts=starts, seed=seed)
+            assert 1.0 <= r <= 3.0
+
+
+def test_deflated_radius_rejects_what_the_reference_rejects():
+    t = power_eigen(SYM, certify_matrix(SYM))
+    bad = [
+        (SYM, dict(iters=0), ValueError), (SYM, dict(iters=-1), ValueError),
+        (SYM, dict(starts=0), ValueError), (SYM, dict(starts=-3), ValueError),
+        (SYM, dict(starts=2.5), TypeError), (np.array([[1.0, np.nan], [1.0, 1.0]]), {}, ValueError),
+        (np.ones((3, 3)), {}, ValueError), (np.ones(2), {}, ValueError),
+    ]
+    for A, kwargs, error in bad:
+        assert assert_matches_reference(A, t, **kwargs) is error
 
 
 def test_oracle_examples():
