@@ -10,21 +10,15 @@ from .certify import (
     BlockWitness,
     ContractionCertificate,
     certify_matrix,
-    contraction_witness_test,
     product_gap_bound,
-    submatrix_T,
 )
 from .cone import (
-    ConeDecomposition,
     DistanceResult,
     alpha,
-    aperture,
     beta,
-    canonical_decompose,
     distance,
     hilbert_distance,
     member_closed,
-    member_open,
     preorder_geq,
     preorder_sample_check,
     random_member,
@@ -34,10 +28,8 @@ from .core2x2 import (
     INFINITY,
     Complex2x2,
     DeltaQuadruple,
-    DiskOrHalfPlane,
     Phi,
     RiemannPoint,
-    cross_ratio,
     delta1,
     deltas,
     diameter_bound,
@@ -80,7 +72,6 @@ __all__ = [
     "DeltaQuadruple",
     "RiemannPoint",
     "INFINITY",
-    "DiskOrHalfPlane",
     "in_gamma_open",
     "in_gamma_closed",
     "theta2",
@@ -90,16 +81,11 @@ __all__ = [
     "Phi",
     "mobius_apply",
     "mobius_disk",
-    "cross_ratio",
     "delta1",
     "eta1",
     "refined_rate",
     "diameter_bound",
     "member_closed",
-    "member_open",
-    "aperture",
-    "ConeDecomposition",
-    "canonical_decompose",
     "alpha",
     "beta",
     "DistanceResult",
@@ -110,10 +96,8 @@ __all__ = [
     "random_member",
     "BlockWitness",
     "ContractionCertificate",
-    "submatrix_T",
     "certify_matrix",
     "product_gap_bound",
-    "contraction_witness_test",
     "EigenTriple",
     "power_eigen",
     "deflated_radius",

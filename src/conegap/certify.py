@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import as_vector, distance, member_closed
 from .core2x2 import (
     DEFAULT_TOL,
     Complex2x2,
     DeltaQuadruple,
+    _squared_moduli,
     diameter_bound,
     eta1,
     refined_rate,
@@ -36,11 +36,9 @@ from .core2x2 import (
 __all__ = [
     "BlockWitness",
     "ContractionCertificate",
-    "submatrix_T",
     "certify_matrix",
     "certify_perturbed",
     "product_gap_bound",
-    "contraction_witness_test",
 ]
 
 # Blocks per array evaluation. It bounds the sweep's working memory (a few MB)
@@ -95,15 +93,6 @@ class ContractionCertificate:
     @property
     def strict(self) -> bool:
         return self.classification == "strict"
-
-
-def submatrix_T(A, i: int, j: int, p: int, q: int) -> Complex2x2:
-    """Functional block [[A[i,p], A[j,p]], [A[i,q], A[j,q]]] for i < j, p < q."""
-    M = as_matrix(A)
-    n, m = M.shape
-    if not (0 <= i < j < n and 0 <= p < q < m):
-        raise ValueError("need row indices 0 <= i < j < rows and column indices 0 <= p < q < cols")
-    return Complex2x2(complex(M[i, p]), complex(M[j, p]), complex(M[i, q]), complex(M[j, q]))
 
 
 def _log_arg(s, dmod):
@@ -253,9 +242,7 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
 
     re, im = np.ascontiguousarray(M.real).ravel(), np.ascontiguousarray(M.imag).ravel()
     pad = None if err is None else (np.hypot(re, im), err)
-    # numpy squares as x * x, but frob2's abs(z) ** 2 calls libm pow, which is
-    # not always correctly rounded; square each entry the same way here.
-    sq = np.array([abs(z) ** 2 for z in M.ravel().tolist()])
+    sq = _squared_moduli(M)
 
     first_not_open = first_not_closed = extremal = None  # block numbers
     theta_sup = 0.0
@@ -300,7 +287,7 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
         classification, k = "fail", first_not_closed
     rp, cp = divmod(k, n_col_pairs)
     i, j, p, q = int(rows_i[rp]), int(rows_j[rp]), int(cols_p[cp]), int(cols_q[cp])
-    witness = BlockWitness(i, j, p, q, submatrix_T(M, i, j, p, q))
+    witness = BlockWitness(i, j, p, q, Complex2x2(M[i, p], M[j, p], M[i, q], M[j, q]))
 
     d1, d2, d3 = (math.log(x) for x in log_sups)
     # |log r| is largest at the largest or at the smallest ratio r
@@ -334,27 +321,3 @@ def product_gap_bound(certs) -> float:
         out *= c.eta_refined
     return out
 
-
-def contraction_witness_test(A, x, y, cert: ContractionCertificate, tol: float = 1e-9) -> float:
-    """Check the certified Lipschitz bound on one concrete pair.
-
-    Returns d(Ax, Ay). Raises RuntimeError if Ax or Ay leaves the cone or if
-    d(Ax, Ay) > eta_refined * d(x, y) + tol, either of which would refute the
-    certificate numerically.
-    """
-    if not cert.strict:
-        raise ValueError("witness test needs a strict certificate")
-    M = as_matrix(A)
-    ax = M @ as_vector(x)
-    ay = M @ as_vector(y)
-    for name, v in (("Ax", ax), ("Ay", ay)):
-        if float(np.vdot(v, v).real) == 0.0 or not member_closed(v):
-            raise RuntimeError(f"{name} left the cone, contradicting the certificate")
-    dxy = distance(x, y).distance
-    daxy = distance(ax, ay).distance
-    if daxy > cert.eta_refined * dxy + tol:
-        raise RuntimeError(
-            f"contraction bound violated: d(Ax, Ay) = {daxy} > "
-            f"{cert.eta_refined} * {dxy} + {tol}"
-        )
-    return daxy

@@ -29,7 +29,6 @@ from .certify import ContractionCertificate, certify_matrix, product_gap_bound
 from .cone import distance
 from .core2x2 import eta1
 from .fileio import (
-    ParseError,
     canonical_json,
     complex_pair,
     kernel_document,
@@ -342,11 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report = args.func(args)
-    except ParseError as e:
+    except ValueError as e:  # ParseError included
         print(f"conegap: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"conegap: {e}", file=sys.stderr)
+    except OverflowError:
+        print("conegap: overflow: input entries too large for double precision", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as e:
         print(f"conegap: linear algebra failure: {e}", file=sys.stderr)

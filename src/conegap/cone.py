@@ -1,13 +1,12 @@
 """The canonical complexified cone in C^n and its projective geometry.
 
 Members are vectors x with Re(x_i conj(x_j)) >= 0 for every coordinate
-pair. The module provides the membership tests, the angular aperture, the
-canonical decomposition over the nonnegative orthant, the projective
-gauges alpha and beta together with the metric they induce, the cone
-pre-order with a sampled counterpart, a real-orthant oracle for the
-metric, and a random member sampler built on the decomposition. The pair
-extrema phi and Phi behind all of these are evaluated as arrays over the
-pairs p <= q, bit-identical to the scalar core2x2 formulas (the test oracle).
+pair. The module provides the membership test, the projective gauges alpha
+and beta together with the metric they induce, the cone pre-order with a
+sampled counterpart, a real-orthant oracle for the metric, and a random
+member sampler. The pair extrema phi and Phi behind all of these are
+evaluated as arrays over the pairs p <= q, bit-identical to the scalar
+core2x2 formulas (the test oracle).
 """
 
 import cmath
@@ -16,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core2x2 import DEFAULT_TOL, ROW_CONE_ERROR
+from .core2x2 import DEFAULT_TOL, ROW_CONE_ERROR, _squared_moduli
 
 __all__ = [
     "as_vector",
     "member_closed",
-    "member_open",
-    "aperture",
-    "ConeDecomposition",
-    "canonical_decompose",
     "beta",
     "alpha",
     "DistanceResult",
@@ -49,89 +44,11 @@ def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _gram_min(v: np.ndarray) -> float:
-    # smallest Re(v_i conj(v_j)); the diagonal contributes |v_i|^2 >= 0
-    return float(np.outer(v, v.conj()).real.min())
-
-
 def member_closed(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff Re(x_i conj(x_j)) >= -tol * ||x||^2 for all coordinate pairs."""
     v = as_vector(x)
-    return _gram_min(v) >= -tol * _norm2(v)
-
-
-def member_open(x, tol: float = DEFAULT_TOL) -> bool:
-    """Strict membership: every Re(x_i conj(x_j)) > tol * ||x||^2, so no zero entries."""
-    v = as_vector(x)
-    s = _norm2(v)
-    return s > 0.0 and _gram_min(v) > tol * s
-
-
-def aperture(zs) -> float:
-    """Width of the smallest closed angular sector containing the given numbers.
-
-    Empty input gives 0; a zero entry has no argument and is a domain error.
-    """
-    zs = [complex(z) for z in zs]
-    if not zs:
-        return 0.0
-    if any(z == 0 for z in zs):
-        raise ValueError("aperture needs nonzero entries")
-    args = sorted(cmath.phase(z) for z in zs)
-    gaps = [b - a for a, b in zip(args, args[1:])]
-    gaps.append(args[0] + 2.0 * math.pi - args[-1])
-    return 2.0 * math.pi - max(gaps)
-
-
-def _sector_midpoint(args: list[float]) -> float:
-    # bisector of the smallest sector containing the given arguments: the
-    # sector is the complement of the largest angular gap
-    args = sorted(args)
-    if len(args) == 1:
-        return args[0]
-    gaps = [b - a for a, b in zip(args, args[1:])]
-    wrap = args[0] + 2.0 * math.pi - args[-1]
-    j = max(range(len(gaps)), key=gaps.__getitem__) if gaps else 0
-    if not gaps or wrap >= gaps[j]:
-        return 0.5 * (args[0] + args[-1])
-    width = 2.0 * math.pi - gaps[j]
-    return args[j + 1] + 0.5 * width
-
-
-@dataclass
-class ConeDecomposition:
-    """x = (lam / 2) ((1 + i) u1 + (1 - i) u2) with u1, u2 in the nonnegative orthant."""
-
-    lam: complex
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return 0.5 * self.lam * ((1.0 + 1.0j) * self.u1 + (1.0 - 1.0j) * self.u2)
-
-
-def canonical_decompose(x, tol: float = DEFAULT_TOL) -> ConeDecomposition:
-    """Split a nonzero member into a unit phase and two orthant vectors.
-
-    lam = e^{i alpha} with alpha the angular midpoint of the nonzero entries;
-    u1 = Re(x / lam) + Im(x / lam) and u2 = Re(x / lam) - Im(x / lam), both
-    entrywise nonnegative for members. Non-members and 0 are domain errors.
-    """
-    v = as_vector(x)
-    if not member_closed(v, tol):
-        raise ValueError("not a member of the closed cone")
-    n2 = _norm2(v)
-    if n2 == 0.0:
-        raise ValueError("cannot decompose the zero vector")
-    args = [cmath.phase(z) for z in v if z != 0]
-    lam = cmath.exp(1j * _sector_midpoint(args))
-    y = v / lam
-    u1 = y.real + y.imag
-    u2 = y.real - y.imag
-    floor = -tol * math.sqrt(n2)
-    if u1.min() < floor or u2.min() < floor:
-        raise ValueError("decomposition left the orthant; input is outside tolerance of the cone")
-    return ConeDecomposition(lam, np.maximum(u1, 0.0), np.maximum(u2, 0.0))
+    # smallest Re(v_i conj(v_j)); the diagonal contributes |v_i|^2 >= 0
+    return float(np.outer(v, v.conj()).real.min()) >= -tol * _norm2(v)
 
 
 def _validated_pair(x, y, tol: float):
@@ -158,9 +75,7 @@ def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
     p, q = np.triu_indices(x.size)
     ar, ai, br, bi = x.real[p], x.imag[p], x.real[q], x.imag[q]
     cr, ci, dr, di = y.real[p], y.imag[p], y.real[q], y.imag[q]
-    # numpy squares as x * x, but frob2's abs(z) ** 2 calls libm pow
-    sqx = np.array([abs(z) ** 2 for z in x.tolist()])
-    sqy = np.array([abs(z) ** 2 for z in y.tolist()])
+    sqx, sqy = _squared_moduli(x), _squared_moduli(y)
     with np.errstate(all="ignore"):
         f2 = ((sqx[p] + sqx[q]) + sqy[p]) + sqy[q]
         s = tol * f2
@@ -286,9 +201,9 @@ def hilbert_distance(x, y) -> float:
 
 
 def random_member(rng: np.random.Generator, n: int, interior: bool = False) -> np.ndarray:
-    """Random member of the closed cone, via a random decomposition.
+    """Random member of the closed cone.
 
-    Draws orthant parts u1, u2 and a uniform phase, then reassembles
+    Draws orthant parts u1, u2 and a uniform phase lam, then assembles
     (lam / 2)((1 + i) u1 + (1 - i) u2), which ranges over the whole cone.
     With interior=True the parts stay away from 0 so the member is strict.
     """

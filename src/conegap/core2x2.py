@@ -4,8 +4,8 @@ A matrix M = [[a, b], [c, d]] acts as the Moebius map z -> (a z + b)/(c z + d)
 on the closed right half-plane. This module computes everything attached to
 that action: membership in the contraction classes (open, closed,
 theta-bounded), the contraction numbers d1..d4, the projective extrema phi
-and Phi, the image disk or half-plane, cross-ratios on the Riemann sphere,
-and the rate functions delta1 and eta1.
+and Phi, the image disk or half-plane, and the rate functions delta1 and
+eta1.
 
 All strict comparisons use one tolerance, taken relative to the squared
 Frobenius norm of the matrix, so every predicate is scale-free. Degenerate
@@ -16,6 +16,8 @@ never arise in the formulas below.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 DEFAULT_TOL = 1e-12
 ROW_CONE_ERROR = "rows must lie in the closed planar cone: need Re(a conj(b)) >= 0 and Re(c conj(d)) >= 0"
 
@@ -24,7 +26,6 @@ __all__ = [
     "Complex2x2",
     "RiemannPoint",
     "INFINITY",
-    "DiskOrHalfPlane",
     "DeltaQuadruple",
     "as_mat2",
     "as_point",
@@ -37,7 +38,6 @@ __all__ = [
     "rank_of",
     "mobius_apply",
     "mobius_disk",
-    "cross_ratio",
     "delta1",
     "eta1",
     "refined_rate",
@@ -81,8 +81,15 @@ class Complex2x2:
     def transpose(self) -> "Complex2x2":
         return Complex2x2(self.a, self.c, self.b, self.d)
 
-    def rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
+
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """abs(v) ** 2 of every entry v of z, squared as frob2 squares them.
+
+    numpy squares as x * x, but abs(v) ** 2 calls libm pow, which is not
+    always correctly rounded, so array code that must match frob2 bit for bit
+    squares through here. Raises OverflowError past |v| ~ 1.34e154.
+    """
+    return np.array([abs(v) ** 2 for v in z.ravel().tolist()])
 
 
 def as_mat2(M) -> Complex2x2:
@@ -162,9 +169,6 @@ class DeltaQuadruple:
             max(self.d3, other.d3),
             max(self.d4, other.d4),
         )
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.as_tuple())
 
 
 def _log_ratio(s: float, dmod: float) -> float:
@@ -282,14 +286,6 @@ class RiemannPoint:
     def __post_init__(self):
         if self.value is not None:
             object.__setattr__(self, "value", _require_finite(self.value, "point"))
-
-    @classmethod
-    def of(cls, z) -> "RiemannPoint":
-        return cls(complex(z))
-
-    @classmethod
-    def infinity(cls) -> "RiemannPoint":
-        return cls(None)
 
     @property
     def is_infinity(self) -> bool:
@@ -425,31 +421,6 @@ def mobius_disk(M, tol: float = DEFAULT_TOL) -> DiskOrHalfPlane:
     if ((w_in - w1) * normal.conjugate()).real < 0.0:
         normal = -normal
     return DiskOrHalfPlane.half_plane(normal, (w1 * normal.conjugate()).real)
-
-
-def _hdiff(p: RiemannPoint, q: RiemannPoint) -> complex:
-    # the difference p - q in homogeneous coordinates (a 2x2 determinant),
-    # which keeps every infinity convention exact
-    pz, pw = p.homogeneous()
-    qz, qw = q.homogeneous()
-    return pz * qw - qz * pw
-
-
-def cross_ratio(z1, z2, v1, v2) -> RiemannPoint:
-    """Cross-ratio (z2 - v1)(z1 - v2) / ((z1 - v1)(z2 - v2)) on the sphere.
-
-    Accepts finite numbers, infinite floats, or RiemannPoint values. Raises
-    when the expression is indeterminate (three coincident points). Satisfies
-    the chain rule cr(x, z, u, v) = cr(x, y, u, v) * cr(y, z, u, v).
-    """
-    p1, p2, q1, q2 = as_point(z1), as_point(z2), as_point(v1), as_point(v2)
-    num = _hdiff(p2, q1) * _hdiff(p1, q2)
-    den = _hdiff(p1, q1) * _hdiff(p2, q2)
-    if den == 0:
-        if num == 0:
-            raise ValueError("indeterminate cross-ratio: three of the points coincide")
-        return INFINITY
-    return RiemannPoint(num / den)
 
 
 def delta1(theta: float) -> float:

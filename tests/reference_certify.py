@@ -2,7 +2,8 @@
 
 This is the block-by-block loop over the core2x2 predicates, one Complex2x2
 per block. It is slow (tens of microseconds per block) and exists only so the
-array sweep in conegap.certify can be compared against it.
+array sweep in conegap.certify can be compared against it. submatrix_T builds
+one such block by its indices.
 """
 
 import numpy as np
@@ -20,6 +21,15 @@ from conegap.core2x2 import (
     refined_rate,
     theta2,
 )
+
+
+def submatrix_T(A, i: int, j: int, p: int, q: int) -> Complex2x2:
+    """Functional block [[A[i,p], A[j,p]], [A[i,q], A[j,q]]] for i < j, p < q."""
+    M = as_matrix(A)
+    n, m = M.shape
+    if not (0 <= i < j < n and 0 <= p < q < m):
+        raise ValueError("need row indices 0 <= i < j < rows and column indices 0 <= p < q < cols")
+    return Complex2x2(complex(M[i, p]), complex(M[j, p]), complex(M[i, q]), complex(M[j, q]))
 
 
 def reference_certify(A, tol: float = DEFAULT_TOL, sample: int | None = None, rng=None) -> ContractionCertificate:

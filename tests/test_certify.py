@@ -6,13 +6,12 @@ import pytest
 from conegap.certify import (
     ContractionCertificate,
     certify_matrix,
-    contraction_witness_test,
     product_gap_bound,
-    submatrix_T,
 )
 from conegap.cone import distance, random_member
 from conegap.core2x2 import Complex2x2, DeltaQuadruple, theta2
 from tests.conftest import random_certified_matrix
+from tests.reference_certify import submatrix_T
 
 LOG4 = math.log(4.0)
 SYM = [[2, 1], [1, 2]]
@@ -203,20 +202,3 @@ def test_product_gap_bound():
     with pytest.raises(ValueError):
         product_gap_bound([])
 
-
-def test_contraction_witness_test():
-    cert = certify_matrix(SYM)
-    A = np.array(SYM, dtype=complex)
-    x = np.array([1, 2], dtype=complex)
-    y = np.array([2, 1], dtype=complex)
-    d = contraction_witness_test(A, x, y, cert)
-    assert d == pytest.approx(math.log(25 / 16), abs=1e-12)  # d((4,5),(5,4))
-    assert d <= cert.eta_refined * math.log(4.0)
-    assert contraction_witness_test(A, x, x, cert) == pytest.approx(0.0, abs=1e-12)
-    assert contraction_witness_test(A, x, 2j * x, cert) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_contraction_witness_requires_strict():
-    cert = certify_matrix(np.eye(2))
-    with pytest.raises(ValueError):
-        contraction_witness_test(np.eye(2), np.ones(2, dtype=complex), np.ones(2, dtype=complex), cert)

@@ -282,3 +282,17 @@ def test_console_script(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["theta"] == pytest.approx(0.6)
+
+
+def test_overflowing_entries_exit_2(files, capsys):
+    # squaring an entry above ~1.34e154 overflows a double: an input error,
+    # not a failed certificate (exit 1)
+    matrix, vectors, _, _ = files
+    big = matrix("big.json", 1e160 * SYM)
+    vecs = vectors("big_vectors.json", [1e160 * np.ones(2), 1e160 * np.array([1.0, 2.0])])
+    for argv in (["certify", big], ["gap", big], ["bounds", big], ["metric", vecs, "0", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("conegap: ")

@@ -7,13 +7,10 @@ import pytest
 from conegap.cone import (
     _gauges,
     alpha,
-    aperture,
     beta,
-    canonical_decompose,
     distance,
     hilbert_distance,
     member_closed,
-    member_open,
     preorder_geq,
     preorder_sample_check,
     random_member,
@@ -25,16 +22,17 @@ def cvec(*entries):
     return np.array(entries, dtype=complex)
 
 
+def member_open(x, tol=DEFAULT_TOL):
+    # strict membership: every Re(x_i conj(x_j)) > tol * ||x||^2
+    v = np.asarray(x, dtype=complex)
+    s = float(np.vdot(v, v).real)
+    return s > 0.0 and float(np.outer(v, v.conj()).real.min()) > tol * s
+
+
 def test_member_closed_examples():
     assert member_closed(cvec(1, 1j))  # Re(1 * conj(i)) = 0, boundary
     assert not member_closed(cvec(1, -1))
     assert member_closed(cvec(2 + 1j, 2 - 1j))  # Re = 3
-
-
-def test_member_open_examples():
-    assert not member_open(cvec(1, 1j))
-    assert member_open(cvec(2 + 1j, 2 - 1j))
-    assert member_open(cvec(1, 1))
 
 
 def test_membership_is_scale_free():
@@ -47,62 +45,6 @@ def test_membership_is_scale_free():
 def test_membership_rejects_bad_input():
     with pytest.raises(ValueError):
         member_closed(cvec(1, complex(float("nan"), 0)))
-
-
-def test_aperture_examples():
-    assert aperture([1, 1j]) == pytest.approx(math.pi / 2, abs=1e-14)
-    assert aperture([1, np.exp(1j * math.pi / 4)]) == pytest.approx(math.pi / 4, abs=1e-14)
-    assert aperture([1, -1]) == pytest.approx(math.pi, abs=1e-14)
-    assert aperture([]) == 0.0
-    assert aperture([5.0]) == 0.0
-    with pytest.raises(ValueError):
-        aperture([1, 0])
-
-
-def test_aperture_wraps_around_the_cut():
-    # sector straddling the negative real axis
-    zs = [np.exp(1j * (math.pi - 0.1)), np.exp(-1j * (math.pi - 0.1))]
-    assert aperture(zs) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_decompose_worked_example():
-    dec = canonical_decompose(cvec(2 + 1j, 2 - 1j))
-    assert dec.lam == pytest.approx(1.0)
-    np.testing.assert_allclose(dec.u1, [3, 1], atol=1e-14)
-    np.testing.assert_allclose(dec.u2, [1, 3], atol=1e-14)
-    np.testing.assert_allclose(dec.reconstruct(), cvec(2 + 1j, 2 - 1j), atol=1e-14)
-
-
-def test_decompose_real_positive():
-    x = cvec(1, 2, 3)
-    dec = canonical_decompose(x)
-    assert dec.lam == pytest.approx(1.0)
-    np.testing.assert_allclose(dec.u1, [1, 2, 3], atol=1e-14)
-    np.testing.assert_allclose(dec.u2, [1, 2, 3], atol=1e-14)
-
-
-def test_decompose_pure_rotation():
-    dec = canonical_decompose(cvec(1j, 1j))
-    assert dec.lam == pytest.approx(1j)
-    np.testing.assert_allclose(dec.u1, [1, 1], atol=1e-14)
-    np.testing.assert_allclose(dec.u2, [1, 1], atol=1e-14)
-
-
-def test_decompose_rejects_non_members():
-    with pytest.raises(ValueError):
-        canonical_decompose(cvec(1, -1))
-    with pytest.raises(ValueError):
-        canonical_decompose(cvec(0, 0))
-
-
-def test_decompose_random_members(rng):
-    # nonnegative parts and exact reconstruction on random cone members
-    for _ in range(300):
-        x = random_member(rng, int(rng.integers(1, 7)))
-        dec = canonical_decompose(x)
-        assert (dec.u1 >= 0).all() and (dec.u2 >= 0).all()
-        err = np.abs(dec.reconstruct() - x).max()
-        assert err <= 1e-12 * np.abs(x).max()
 
 
 def test_beta_examples():

@@ -12,7 +12,6 @@ from conegap.core2x2 import (
     RiemannPoint,
     as_mat2,
     as_point,
-    cross_ratio,
     delta1,
     deltas,
     diameter_bound,
@@ -225,39 +224,6 @@ def test_disk_strictness(rng):
         d = mobius_disk(random_gamma_open(rng))
         assert d.kind == "disk"
         assert d.center.real > d.radius
-
-
-def test_cross_ratio_examples():
-    assert cross_ratio(1, 4, 0, INFINITY).value == pytest.approx(4.0)
-    assert cross_ratio(2 + 1j, 2 + 1j, 5, -3).value == pytest.approx(1.0)
-    assert cross_ratio(0, INFINITY, 1, -1).value == pytest.approx(-1.0)
-
-
-def test_cross_ratio_accepts_infinite_float():
-    assert cross_ratio(1, 4, 0, float("inf")).value == pytest.approx(4.0)
-
-
-def test_cross_ratio_indeterminate():
-    with pytest.raises(ValueError):
-        cross_ratio(1, 1, 1, 5)
-    with pytest.raises(ValueError):
-        cross_ratio(INFINITY, INFINITY, INFINITY, 2)
-
-
-def test_cross_ratio_pole():
-    assert cross_ratio(1, 2, 1, 5).is_infinity
-
-
-def test_cross_ratio_chain_identity(rng):
-    # cr(x,z;u,v) = cr(x,y;u,v) * cr(y,z;u,v)
-    for _ in range(300):
-        x, y, z, u, v = (complex(*rng.uniform(-3, 3, 2)) for _ in range(5))
-        lhs = cross_ratio(x, z, u, v)
-        a = cross_ratio(x, y, u, v)
-        b = cross_ratio(y, z, u, v)
-        if lhs.is_infinity or a.is_infinity or b.is_infinity:
-            continue
-        assert lhs.value == pytest.approx(a.value * b.value, rel=1e-12, abs=1e-12)
 
 
 def test_theta2_scale_invariance(rng):
