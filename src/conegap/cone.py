@@ -10,6 +10,7 @@ core2x2 formulas (the test oracle).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
-    if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -47,8 +48,12 @@ def _norm2(v: np.ndarray) -> float:
 def member_closed(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff Re(x_i conj(x_j)) >= -tol * ||x||^2 for all coordinate pairs."""
     v = as_vector(x)
+    # bring the largest part near 1 so the products below neither overflow nor
+    # underflow; a power of two scales them and ||v||^2 exactly, and the test
+    # is invariant under positive scaling
+    v = v * math.ldexp(1.0, -math.frexp(float(np.maximum(abs(v.real), abs(v.imag)).max()))[1])
     # smallest Re(v_i conj(v_j)); the diagonal contributes |v_i|^2 >= 0
-    return float(np.outer(v, v.conj()).real.min()) >= -tol * _norm2(v)
+    return float(np.multiply.outer(v, v.conj()).real.min()) >= -tol * _norm2(v)
 
 
 def _validated_pair(x, y, tol: float):
@@ -63,49 +68,84 @@ def _validated_pair(x, y, tol: float):
     return vx, vy
 
 
-def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
-    """phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], p <= q in np.triu_indices order.
+@functools.lru_cache(maxsize=16)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), the coordinate pairs p <= q in row-major order, built once per n.
 
-    Each value repeats core2x2.phi/Phi operation for operation (complex
-    products in CPython's order, hypot for moduli as in abs(complex), squares
-    as abs(z) ** 2), so it is bit-identical to them. Like them it raises
-    ValueError when the rows of a pair leave the closed planar cone, checked
-    on every pair, and OverflowError where a square or |ad - bc| overflows.
+    Every caller shares the two arrays, so they are read-only.
     """
-    p, q = np.triu_indices(x.size)
-    ar, ai, br, bi = x.real[p], x.imag[p], x.real[q], x.imag[q]
-    cr, ci, dr, di = y.real[p], y.imag[p], y.real[q], y.imag[q]
-    sqx, sqy = _squared_moduli(x), _squared_moduli(y)
+    p, q = np.triu_indices(n)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
+def _gauge_sides(x: np.ndarray, y: np.ndarray, tol: float):
+    """Yield phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], then of the swapped [[y_p, y_q], [x_p, x_q]].
+
+    Pairs are p <= q in _pair_index order. Each value repeats core2x2.phi/Phi
+    operation for operation (complex products in CPython's order, hypot for
+    moduli as in abs(complex), squares as abs(z) ** 2), so it is bit-identical
+    to them. One pass serves both sides: row 0 of each array below belongs to
+    the given order and row 1 to the swapped one, and [::-1] swaps the rows.
+    The swap negates ad - bc and Im(a conj(d) + b conj(c)) exactly, since
+    products commute and fl(u - v) = -fl(v - u), so |ad - bc| and the cross
+    term are computed once for both. The squared Frobenius norm sums in
+    another order on each side, so it, the row-cone check and the rank tests
+    are made per side. Like core2x2, a side raises ValueError when the rows
+    of a pair leave the closed planar cone, checked on every pair, and then
+    OverflowError where |ad - bc| overflows; a square that overflows raises
+    OverflowError before either. The swapped side raises only when the
+    caller asks for it.
+    """
+    p, q = _pair_index(x.size)
+    z = np.array([x, y])
+    sq = _squared_moduli(z).reshape(z.shape)
     with np.errstate(all="ignore"):
-        f2 = ((sqx[p] + sqx[q]) + sqy[p]) + sqy[q]
-        s = tol * f2
-        re_ab, re_cd = ar * br + ai * bi, cr * dr + ci * di
-        if np.any((re_ab < -s) | (re_cd < -s)):
-            raise ValueError(ROW_CONE_ERROR)
-        det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
-        det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
+        m = np.hypot(z.real, z.imag)
+        # a = x_p, b = x_q in row 0 over c = y_p, d = y_q in row 1
+        pr, pi, qr, qi = z.real[:, p], z.imag[:, p], z.real[:, q], z.imag[:, q]
+        sqp, sqq, mp, mq = sq[:, p], sq[:, q], m[:, p], m[:, q]
+        re = pr * qr + pi * qi  # Re(a conj b) over Re(c conj d)
+        rr, ii = pr * qr[::-1], pi * qi[::-1]  # a_r d_r, a_i d_i over c_r b_r, c_i b_i
+        ri, ir = pr * qi[::-1], pi * qr[::-1]  # a_r d_i, a_i d_r over c_r b_i, c_i b_r
+        re_ad, im_ad = rr - ii, ri + ir  # ad over cb
+        det_r, det_i = re_ad[0] - re_ad[1], im_ad[0] - im_ad[1]
         dmod = np.hypot(det_r, det_i)
-        if np.any(np.isinf(dmod) & np.isfinite(det_r) & np.isfinite(det_i)):
-            raise OverflowError("absolute value too large")
-        # |a conj(d) + b conj(c)| + |ad - bc|
-        ssum = np.hypot((ar * dr + ai * di) + (br * cr + bi * ci),
-                        (ai * dr - ar * di) + (bi * cr - br * ci)) + dmod
+        overflow = bool(np.any(np.isinf(dmod) & np.isfinite(det_r) & np.isfinite(det_i)))
+        # |a conj(d) + b conj(c)| + |ad - bc|, from a conj(d) over c conj(b) = conj(b conj(c))
+        re_adc, im_adc = rr + ii, ir - ri
+        ssum = np.hypot(re_adc[0] + re_adc[1], im_adc[0] - im_adc[1]) + dmod
+        f2 = ((sqp + sqq) + sqp[::-1]) + sqq[::-1]
+        s = tol * f2
+        bad = ((re < -s) | (re[::-1] < -s)).any(axis=1)
         # rank one: the constant modulus |a/c|, or |b/d| when the first column carries no mass
-        first = sqx[p] + sqy[p] > s
-        mx, my = np.hypot(x.real, x.imag), np.hypot(y.real, y.imag)
-        num, den = np.where(first, mx[p], mx[q]), np.where(first, my[p], my[q])
+        first = sqp + sqp[::-1] > s
+        num, den = np.where(first, mp, mq), np.where(first, mp[::-1], mq[::-1])
         one = np.where(den == 0.0, np.inf, num / den)
         rank2, rank1 = dmod > s, f2 > tol * tol
-        lo = np.where(rank2, np.where(re_ab <= 0.0, 0.0, 2.0 * re_ab / ssum),
-                      np.where(rank1, one, np.inf))
-        hi = np.where(rank2, np.where(re_cd <= 0.0, np.inf, ssum / (2.0 * re_cd)),
+        lo = np.where(rank2, np.where(re <= 0.0, 0.0, 2.0 * re / ssum), np.where(rank1, one, np.inf))
+        hi = np.where(rank2, np.where(re[::-1] <= 0.0, np.inf, ssum / (2.0 * re[::-1])),
                       np.where(rank1, one, 0.0))
-    return lo, hi
+    for side in range(2):
+        if bad[side]:
+            raise ValueError(ROW_CONE_ERROR)
+        if overflow:
+            raise OverflowError("absolute value too large")
+        yield lo[side], hi[side]
 
 
-def _sup_Phi(x: np.ndarray, y: np.ndarray, tol: float) -> float:
+def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
+    """phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], p <= q in _pair_index order.
+
+    The first side of _gauge_sides: bit-identical to core2x2.phi/Phi on each
+    pair, raising where they raise.
+    """
+    return next(_gauge_sides(x, y, tol))
+
+
+def _sup(hi: np.ndarray) -> float:
     # fmax skips NaN, as the scalar running maximum does
-    return float(np.fmax.reduce(_gauges(x, y, tol)[1], initial=0.0))
+    return float(np.fmax.reduce(hi, initial=0.0))
 
 
 def beta(x, y, tol: float = DEFAULT_TOL) -> float:
@@ -115,7 +155,7 @@ def beta(x, y, tol: float = DEFAULT_TOL) -> float:
     pair p = q contributes |x_p / y_p|. The value +inf is a valid result,
     meaning no finite multiple of y dominates x.
     """
-    return _sup_Phi(*_validated_pair(x, y, tol), tol)
+    return _sup(_gauges(*_validated_pair(x, y, tol), tol)[1])
 
 
 def alpha(x, y, tol: float = DEFAULT_TOL) -> float:
@@ -138,8 +178,8 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> DistanceResult:
     gauge is infinite (boundary members with mismatched supports).
     """
     vx, vy = _validated_pair(x, y, tol)
-    bxy = _sup_Phi(vx, vy, tol)
-    byx = _sup_Phi(vy, vx, tol)
+    (_, hi_xy), (_, hi_yx) = _gauge_sides(vx, vy, tol)
+    bxy, byx = _sup(hi_xy), _sup(hi_yx)
     if math.isinf(bxy) or math.isinf(byx):
         d = math.inf
     else:

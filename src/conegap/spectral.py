@@ -39,7 +39,9 @@ class EigenTriple:
     eta_refined, unless power_eigen had to certify a power of A. It is +inf
     when no certified rate is below 1. converged is True only when both the
     right and the left orbit met the stop rule under a rate below 1;
-    otherwise the triple is a flagged partial result.
+    otherwise the triple is a flagged partial result. power and power_rate
+    are that p and eta_p, and left_iterations counts the steps of the left
+    orbit, the one that gives nu.
     """
 
     lam: complex
@@ -49,6 +51,9 @@ class EigenTriple:
     residual: float
     metric_error: float
     converged: bool
+    power: int = 1
+    power_rate: float = math.nan
+    left_iterations: int = 0
 
 
 # Near the fixed point the projective step between floating-point iterates
@@ -158,7 +163,8 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
     same iteration on the plain transpose, under the same rate, since the
     class, theta and the contraction numbers are transpose-invariant; it is
     rescaled to the bilinear normalization <nu, h> = 1. converged requires
-    both orbits to stop; iterations counts the right one. tol must be finite
+    both orbits to stop; iterations counts the right one and left_iterations
+    the left one, and power and power_rate give p and eta_p. tol must be finite
     and nonnegative (0 stops only at an exact fixed point), and max_iter at
     least 1.
     """
@@ -174,7 +180,7 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
     p, eta = _power_rate(M, cert.eta_refined, tol)
     h, iters, gap, conv_right = _power_orbit(M, tol, max_iter, eta, p)
     lam = complex((M @ h)[0])
-    w, _, _, conv_left = _power_orbit(M.T, tol, max_iter, eta, p)
+    w, left_iters, _, conv_left = _power_orbit(M.T, tol, max_iter, eta, p)
     pairing = complex(np.dot(w, h))  # bilinear, no conjugation
     if pairing == 0:
         raise RuntimeError("bilinear pairing of the eigenvectors vanished")
@@ -184,7 +190,7 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
         metric_error, converged = gap / (1.0 - eta), conv_right and conv_left
     else:  # no bound survives, an exact fixed point of the floating-point map included
         metric_error, converged = math.inf, False
-    return EigenTriple(lam, h, nu, iters, residual, metric_error, converged)
+    return EigenTriple(lam, h, nu, iters, residual, metric_error, converged, p, eta, left_iters)
 
 
 def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8, seed: int = 0) -> float:

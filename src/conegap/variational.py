@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import ContractionCertificate, as_matrix
-from .cone import _gauges, as_vector, member_closed
+from .cone import _gauges, _pair_index, as_vector, member_closed
 from .core2x2 import DEFAULT_TOL
 from .spectral import _orbit_step
 
@@ -65,14 +65,16 @@ def bounds_at(A, x, tol: float = DEFAULT_TOL) -> VariationalBounds:
     if float(np.vdot(y, y).real) != 0.0 and not member_closed(y, tol):
         raise ValueError("matrix does not map the test vector into the cone")
     lo, hi = _gauges(y, v, tol)
-    pairs = np.transpose(np.triu_indices(v.size)).tolist()
+    p, q = _pair_index(v.size)
     # fmin/fmax skip NaN, as the scalar running extrema do; argmax gives the first hit
     lower = float(np.fmin.reduce(lo, initial=math.inf))
     upper = float(np.fmax.reduce(hi, initial=0.0))
-    argmax = None if upper == 0.0 else tuple(pairs[int(np.argmax(hi == upper))])
+    k = int(np.argmax(hi == upper))
+    argmax = None if upper == 0.0 else (int(p[k]), int(q[k]))
     if math.isinf(lower):  # only possible when A x = 0 on the support of x
         return VariationalBounds(0.0, upper, None, argmax, v)
-    return VariationalBounds(lower, upper, tuple(pairs[int(np.argmax(lo == lower))]), argmax, v)
+    k = int(np.argmax(lo == lower))
+    return VariationalBounds(lower, upper, (int(p[k]), int(q[k])), argmax, v)
 
 
 def basis_lower_bound(A) -> float:

@@ -1,11 +1,14 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conegap.cone import (
+    _gauge_sides,
     _gauges,
+    _pair_index,
     alpha,
     beta,
     distance,
@@ -40,6 +43,25 @@ def test_membership_is_scale_free():
     assert member_closed(1e8 * x) and member_closed(1e-8 * x)
     # a global phase never changes membership
     assert member_closed(1j * x) and member_open(1j * x)
+
+
+def test_membership_at_extreme_scales_matches_unscaled(rng):
+    # the Gram products of 1e160 x overflow a double and those of 1e-160 x
+    # underflow; membership is scale-invariant and must not see either
+    vectors = [cvec(2 + 1j, 2 - 1j), cvec(1, 1j), cvec(1, -1), cvec(0, 0)]
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        vectors.append(random_member(rng, n))
+        vectors.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in vectors:
+            want = member_closed(v)
+            # powers of two scale every product exactly
+            for s in (2.0 ** 530, 2.0 ** -530, 2.0 ** 1000, 2.0 ** -1000):
+                assert member_closed(s * v) == want
+        for v in vectors[:4]:
+            assert member_closed(1e160 * v) == member_closed(1e-160 * v) == member_closed(v)
 
 
 def test_membership_rejects_bad_input():
@@ -219,6 +241,95 @@ def test_gauges_match_scalar_at_extreme_scales(sx, sy, rng):
         x, y = sx * random_member(rng, n), sy * random_member(rng, n)
         assert_gauges_match_scalar(x, y)
         assert_gauges_match_scalar(y, x)
+
+
+def outcome(f):
+    """repr of every value f returns, or the type of the exception it raises."""
+    try:
+        return [[repr(v) for v in a.tolist()] for side in f() for a in side]
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+def assert_sides_match_one_sided(x, y):
+    """The two-sided pass equals _gauges(x, y) then _gauges(y, x), bit for bit and error for error."""
+    both = outcome(lambda: list(_gauge_sides(x, y, DEFAULT_TOL)))
+    assert both == outcome(lambda: [_gauges(x, y, DEFAULT_TOL), _gauges(y, x, DEFAULT_TOL)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_two_sided_gauges_match_one_sided_on_random_members(n, rng):
+    for _ in range(10):
+        x, y = random_member(rng, n), random_member(rng, n, interior=True)
+        assert_sides_match_one_sided(x, y)
+        assert_sides_match_one_sided(y, x)
+        assert_sides_match_one_sided(x, x)
+
+
+def test_two_sided_gauges_match_one_sided_on_zero_entries_and_rank_one_pairs(rng):
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        x, y = random_member(rng, n), random_member(rng, n)
+        x[rng.random(n) < 0.4] = 0.0
+        y[rng.random(n) < 0.2] = 0.0
+        assert_sides_match_one_sided(x, y)
+        c = complex(*rng.uniform(-2.0, 2.0, 2))
+        assert_sides_match_one_sided(y, c * y)
+
+
+@pytest.mark.parametrize("x, y", [
+    (cvec(1, 1j), cvec(1, 1)),
+    (cvec(1, 1j), cvec(1j, -1)),
+    (cvec(1, 1j, 0), cvec(1, 0, 1j)),
+    (cvec(1, 0), cvec(0, 1)),
+    (cvec(0, 0), cvec(1, 1)),
+    (cvec(1, -1), cvec(1, 1)),  # a row outside the planar cone
+])
+def test_two_sided_gauges_match_one_sided_on_boundary_pairs(x, y):
+    assert_sides_match_one_sided(x, y)
+    assert_sides_match_one_sided(y, x)
+
+
+@pytest.mark.parametrize("sx, sy", [(1e150, 1.0), (1e-150, 1.0), (1e150, 1e-150),
+                                    (1.2e154, 1.0), (1.2e154, 1.2e154), (1e150, 1e-160),
+                                    (1e-160, 1e-160), (1e160, 1.0)])
+def test_two_sided_gauges_match_one_sided_at_extreme_scales(sx, sy, rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        x, y = sx * random_member(rng, n), sy * random_member(rng, n)
+        assert_sides_match_one_sided(x, y)
+        assert_sides_match_one_sided(y, x)
+
+
+def test_two_sided_gauges_keep_the_error_order():
+    # the determinant modulus of the pair (0, 1) overflows; a row of the pair
+    # (2, 3) outside the planar cone is reported before it, as in _gauges
+    a = 1.34e154 * cmath.exp(1j * math.pi / 8)
+    b = 0.752e154 * cmath.exp(5j * math.pi / 8)
+    for x, y, error in ((cvec(a, b), cvec(b, a), OverflowError),
+                        (cvec(a, b, 1, -1), cvec(b, a, 1, 1), ValueError)):
+        assert outcome(lambda: list(_gauge_sides(x, y, DEFAULT_TOL))) is error
+        assert_sides_match_one_sided(x, y)
+        assert_sides_match_one_sided(y, x)
+
+
+def test_distance_reads_both_gauges_of_beta(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        x, y = random_member(rng, n), random_member(rng, n)
+        res = distance(x, y)
+        assert (repr(res.beta_xy), repr(res.beta_yx)) == (repr(beta(x, y)), repr(beta(y, x)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_pair_index_is_cached_and_read_only(n):
+    p, q = _pair_index(n)
+    want_p, want_q = np.triu_indices(n)
+    assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+    assert _pair_index(n)[0] is p
+    for a in (p, q):
+        with pytest.raises(ValueError):
+            a[0] = 5
 
 
 def test_gauges_raise_where_the_determinant_modulus_overflows():

@@ -102,6 +102,21 @@ def test_own_rate_runs_no_power_sweep(monkeypatch, rng):
     assert power_eigen(A, cert, tol=1e-9).converged
 
 
+def test_triple_reports_the_power_its_rate_and_the_left_steps():
+    cert = certify_matrix(SYM)
+    t = power_eigen(SYM, cert)
+    assert (t.power, t.power_rate) == (1, cert.eta_refined)
+    assert t.left_iterations == t.iterations  # SYM is its own transpose
+    x, w = np.polynomial.legendre.leggauss(8)
+    gauss8 = np.exp(-((x[:, None] - x[None, :]) ** 2)) * w  # own rate below the floor
+    t = power_eigen(gauss8, certify_matrix(gauss8))
+    assert t.converged and t.power == 4
+    assert 1e-12 * (1.0 - t.power_rate) >= spectral.STEP_FLOOR
+    # the left orbit is the orbit of the transpose under the same p and rate
+    left = spectral._power_orbit(gauss8.T, 1e-12, 1000, t.power_rate, t.power)
+    assert left[3] and t.left_iterations == left[1]
+
+
 def _exact_square(X):
     # X[i][j] = (re, im) as Fractions
     n = len(X)
