@@ -358,10 +358,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.timings:
             report["timings"] = {"seconds_total": time.perf_counter() - start}
     blob = canonical_json(report) + "\n"
-    sys.stdout.write(blob)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as f:
-            f.write(blob)
+        try:
+            with open(args.report, "w", encoding="utf-8", newline="") as f:
+                f.write(blob)
+        except OSError as e:
+            print(f"conegap: cannot write report: {e}", file=sys.stderr)
+            return 2
+    sys.stdout.write(blob)
     return code
 
 

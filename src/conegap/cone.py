@@ -1,12 +1,13 @@
 """The canonical complexified cone in C^n and its projective geometry.
 
 Members are vectors x with Re(x_i conj(x_j)) >= 0 for every coordinate
-pair. The module provides the membership test, the projective gauges alpha
-and beta together with the metric they induce, the cone pre-order with a
-sampled counterpart, a real-orthant oracle for the metric, and a random
-member sampler. The pair extrema phi and Phi behind all of these are
-evaluated as arrays over the pairs p <= q, bit-identical to the scalar
-core2x2 formulas (the test oracle).
+pair, a property of one vector: member_closed is the one rule that decides
+it, and every entry point checks each vector argument with it. The module
+provides the membership test, the projective gauges alpha and beta together
+with the metric they induce, the cone pre-order with a sampled counterpart,
+a real-orthant oracle for the metric, and a random member sampler. The pair
+extrema phi and Phi behind all of these are evaluated as arrays over the
+pairs p <= q, bit-identical to the scalar core2x2 formulas (the test oracle).
 """
 
 import cmath
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core2x2 import DEFAULT_TOL, ROW_CONE_ERROR, _squared_moduli
+from .core2x2 import DEFAULT_TOL, _squared_moduli
 
 __all__ = [
     "as_vector",
@@ -45,10 +46,9 @@ def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def member_closed(x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff Re(x_i conj(x_j)) >= -tol * ||x||^2 for all coordinate pairs."""
-    v = as_vector(x)
-    # bring the largest part near 1 so the products below neither overflow nor
+def _closed(v: np.ndarray, tol: float) -> bool:
+    # member_closed on a vector that as_vector has already checked.
+    # Bring the largest part near 1 so the products below neither overflow nor
     # underflow; a power of two scales them and ||v||^2 exactly, and the test
     # is invariant under positive scaling
     v = v * math.ldexp(1.0, -math.frexp(float(np.maximum(abs(v.real), abs(v.imag)).max()))[1])
@@ -56,15 +56,29 @@ def member_closed(x, tol: float = DEFAULT_TOL) -> bool:
     return float(np.multiply.outer(v, v.conj()).real.min()) >= -tol * _norm2(v)
 
 
+def member_closed(x, tol: float = DEFAULT_TOL) -> bool:
+    """True iff Re(x_i conj(x_j)) >= -tol * ||x||^2 for all coordinate pairs.
+
+    The one membership rule: a property of x alone, and scale-free, since
+    x -> c x multiplies both sides by |c|^2. Nothing checks pairs of vectors.
+    """
+    return _closed(as_vector(x), tol)
+
+
+def _require_member(v: np.ndarray, name: str, tol: float) -> None:
+    """Raise ValueError unless v, already through as_vector, is a nonzero closed member."""
+    if _norm2(v) == 0.0:
+        raise ValueError(f"{name} must be nonzero")
+    if not _closed(v, tol):
+        raise ValueError(f"{name} is not a member of the closed cone")
+
+
 def _validated_pair(x, y, tol: float):
     vx, vy = as_vector(x), as_vector(y)
     if vx.shape != vy.shape:
         raise ValueError("vectors must have the same length")
-    for name, v in (("x", vx), ("y", vy)):
-        if _norm2(v) == 0.0:
-            raise ValueError(f"{name} must be nonzero")
-        if not member_closed(v, tol):
-            raise ValueError(f"{name} is not a member of the closed cone")
+    _require_member(vx, "x", tol)
+    _require_member(vy, "y", tol)
     return vx, vy
 
 
@@ -79,23 +93,21 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _gauge_sides(x: np.ndarray, y: np.ndarray, tol: float):
-    """Yield phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], then of the swapped [[y_p, y_q], [x_p, x_q]].
+def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
+    """phi and Phi of the pair matrices in both orders, as (lo, hi) of shape (2, n(n+1)/2).
 
-    Pairs are p <= q in _pair_index order. Each value repeats core2x2.phi/Phi
-    operation for operation (complex products in CPython's order, hypot for
-    moduli as in abs(complex), squares as abs(z) ** 2), so it is bit-identical
-    to them. One pass serves both sides: row 0 of each array below belongs to
-    the given order and row 1 to the swapped one, and [::-1] swaps the rows.
-    The swap negates ad - bc and Im(a conj(d) + b conj(c)) exactly, since
-    products commute and fl(u - v) = -fl(v - u), so |ad - bc| and the cross
-    term are computed once for both. The squared Frobenius norm sums in
-    another order on each side, so it, the row-cone check and the rank tests
-    are made per side. Like core2x2, a side raises ValueError when the rows
-    of a pair leave the closed planar cone, checked on every pair, and then
-    OverflowError where |ad - bc| overflows; a square that overflows raises
-    OverflowError before either. The swapped side raises only when the
-    caller asks for it.
+    Row 0 holds [[x_p, x_q], [y_p, y_q]], row 1 the swapped [[y_p, y_q],
+    [x_p, x_q]]; columns are the pairs p <= q in _pair_index order. Nothing
+    here checks the domain: callers pass vectors that member_closed, the one
+    membership rule, accepted. Each value repeats core2x2.phi/Phi (which check
+    their own 2x2 rows) operation for operation, so it is bit-identical to
+    them: complex products in CPython's order, hypot for moduli as in
+    abs(complex), squares as abs(z) ** 2. Swapping the rows ([::-1]) negates
+    ad - bc and Im(a conj(d) + b conj(c)) exactly, since fl(u - v) =
+    -fl(v - u), so |ad - bc| and the cross term serve both orders; the squared
+    Frobenius norm sums in another order in each row, so it and the rank tests
+    are made per row. Raises only OverflowError, as abs() does in phi/Phi:
+    where a square overflows, and else where |ad - bc| does.
     """
     p, q = _pair_index(x.size)
     z = np.array([x, y])
@@ -111,13 +123,13 @@ def _gauge_sides(x: np.ndarray, y: np.ndarray, tol: float):
         re_ad, im_ad = rr - ii, ri + ir  # ad over cb
         det_r, det_i = re_ad[0] - re_ad[1], im_ad[0] - im_ad[1]
         dmod = np.hypot(det_r, det_i)
-        overflow = bool(np.any(np.isinf(dmod) & np.isfinite(det_r) & np.isfinite(det_i)))
+        if np.any(np.isinf(dmod) & np.isfinite(det_r) & np.isfinite(det_i)):
+            raise OverflowError("absolute value too large")
         # |a conj(d) + b conj(c)| + |ad - bc|, from a conj(d) over c conj(b) = conj(b conj(c))
         re_adc, im_adc = rr + ii, ir - ri
         ssum = np.hypot(re_adc[0] + re_adc[1], im_adc[0] - im_adc[1]) + dmod
         f2 = ((sqp + sqq) + sqp[::-1]) + sqq[::-1]
         s = tol * f2
-        bad = ((re < -s) | (re[::-1] < -s)).any(axis=1)
         # rank one: the constant modulus |a/c|, or |b/d| when the first column carries no mass
         first = sqp + sqp[::-1] > s
         num, den = np.where(first, mp, mq), np.where(first, mp[::-1], mq[::-1])
@@ -126,21 +138,7 @@ def _gauge_sides(x: np.ndarray, y: np.ndarray, tol: float):
         lo = np.where(rank2, np.where(re <= 0.0, 0.0, 2.0 * re / ssum), np.where(rank1, one, np.inf))
         hi = np.where(rank2, np.where(re[::-1] <= 0.0, np.inf, ssum / (2.0 * re[::-1])),
                       np.where(rank1, one, 0.0))
-    for side in range(2):
-        if bad[side]:
-            raise ValueError(ROW_CONE_ERROR)
-        if overflow:
-            raise OverflowError("absolute value too large")
-        yield lo[side], hi[side]
-
-
-def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
-    """phi and Phi of the pair matrices [[x_p, x_q], [y_p, y_q]], p <= q in _pair_index order.
-
-    The first side of _gauge_sides: bit-identical to core2x2.phi/Phi on each
-    pair, raising where they raise.
-    """
-    return next(_gauge_sides(x, y, tol))
+    return lo, hi
 
 
 def _sup(hi: np.ndarray) -> float:
@@ -155,13 +153,12 @@ def beta(x, y, tol: float = DEFAULT_TOL) -> float:
     pair p = q contributes |x_p / y_p|. The value +inf is a valid result,
     meaning no finite multiple of y dominates x.
     """
-    return _sup(_gauges(*_validated_pair(x, y, tol), tol)[1])
+    return _sup(_gauges(*_validated_pair(x, y, tol), tol)[1][0])
 
 
 def alpha(x, y, tol: float = DEFAULT_TOL) -> float:
     """Greatest t with t y <= x: inf of phi over coordinate pairs. Dual to beta."""
-    vx, vy = _validated_pair(x, y, tol)
-    return float(np.fmin.reduce(_gauges(vx, vy, tol)[0], initial=math.inf))
+    return float(np.fmin.reduce(_gauges(*_validated_pair(x, y, tol), tol)[0][0], initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ def distance(x, y, tol: float = DEFAULT_TOL) -> DistanceResult:
     Zero exactly on complex-projectively equal members; +inf when either
     gauge is infinite (boundary members with mismatched supports).
     """
-    vx, vy = _validated_pair(x, y, tol)
-    (_, hi_xy), (_, hi_yx) = _gauge_sides(vx, vy, tol)
+    _, (hi_xy, hi_yx) = _gauges(*_validated_pair(x, y, tol), tol)
     bxy, byx = _sup(hi_xy), _sup(hi_yx)
     if math.isinf(bxy) or math.isinf(byx):
         d = math.inf

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import ContractionCertificate, as_matrix
-from .cone import _gauges, _pair_index, as_vector, member_closed
+from .cone import _closed, _gauges, _norm2, _pair_index, _require_member, as_vector
 from .core2x2 import DEFAULT_TOL
 from .spectral import _orbit_step
 
@@ -57,14 +57,11 @@ def bounds_at(A, x, tol: float = DEFAULT_TOL) -> VariationalBounds:
     v = as_vector(x)
     if v.size != M.shape[0]:
         raise ValueError("test vector length must match the matrix")
-    if float(np.vdot(v, v).real) == 0.0:
-        raise ValueError("test vector must be nonzero")
-    if not member_closed(v, tol):
-        raise ValueError("test vector is not a member of the closed cone")
-    y = M @ v
-    if float(np.vdot(y, y).real) != 0.0 and not member_closed(y, tol):
+    _require_member(v, "test vector", tol)
+    y = as_vector(M @ v)  # rejects an image that overflowed
+    if _norm2(y) != 0.0 and not _closed(y, tol):
         raise ValueError("matrix does not map the test vector into the cone")
-    lo, hi = _gauges(y, v, tol)
+    (lo, _), (hi, _) = _gauges(y, v, tol)
     p, q = _pair_index(v.size)
     # fmin/fmax skip NaN, as the scalar running extrema do; argmax gives the first hit
     lower = float(np.fmin.reduce(lo, initial=math.inf))

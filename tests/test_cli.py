@@ -88,6 +88,18 @@ def test_report_flag_writes_same_bytes(files, capsys):
     assert out.read_bytes().decode() == stdout
 
 
+def test_unwritable_report_path_exits_2(files, capsys):
+    # a report that cannot be written is an argument error, not a failed certificate
+    matrix, _, _, tmp_path = files
+    target = tmp_path / "missing" / "r.json"
+    assert main(["--report", str(target), "certify", matrix("sym.json", SYM)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("conegap: cannot write report: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_timings_flag_adds_key(files, capsys):
     matrix, _, _, _ = files
     _, rep = run(capsys, "--timings", "certify", matrix("sym.json", SYM))

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conegap import core2x2
 from conegap.cone import (
-    _gauge_sides,
     _gauges,
     _pair_index,
     alpha,
@@ -19,6 +19,7 @@ from conegap.cone import (
     random_member,
 )
 from conegap.core2x2 import DEFAULT_TOL, Complex2x2, Phi, phi
+from conegap.variational import bounds_at
 
 
 def cvec(*entries):
@@ -174,18 +175,30 @@ def scalar_gauges(x, y):
 
 
 def assert_gauges_match_scalar(x, y):
-    """_gauges equals phi/Phi bit for bit, and raises only where a pair does."""
-    want_lo, want_hi = scalar_gauges(x, y)
+    """Row 0 of _gauges equals phi/Phi bit for bit, and raises only where a pair does.
+
+    Membership of x and of y alone decides the ValueError, which the public
+    entry points raise before any gauge runs. phi/Phi also check the rows of
+    each 2x2 matrix for their own scalar API; the comparison runs with that
+    check off, so it stays bitwise on every pair.
+    """
+    if not (member_closed(x) and member_closed(y)):
+        for call in (beta, distance):
+            with pytest.raises(ValueError, match="is not a member of the closed cone"):
+                call(x, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core2x2, "_check_row_cone", lambda M, tol: None)
+        want_lo, want_hi = scalar_gauges(x, y)
     raised = {v for v in want_lo + want_hi if isinstance(v, type)}
     try:
         lo, hi = _gauges(x, y, DEFAULT_TOL)
-    except (ValueError, OverflowError) as e:
+    except OverflowError as e:
         assert type(e) in raised
         return
     assert not raised
     # repr tells apart -0.0 and 0.0 and keeps nan equal to nan
-    assert [repr(v) for v in lo.tolist()] == [repr(v) for v in want_lo]
-    assert [repr(v) for v in hi.tolist()] == [repr(v) for v in want_hi]
+    assert [repr(v) for v in lo[0].tolist()] == [repr(v) for v in want_lo]
+    assert [repr(v) for v in hi[0].tolist()] == [repr(v) for v in want_hi]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -244,17 +257,17 @@ def test_gauges_match_scalar_at_extreme_scales(sx, sy, rng):
 
 
 def outcome(f):
-    """repr of every value f returns, or the type of the exception it raises."""
+    """repr of every value in the rows f returns, or the type of the exception it raises."""
     try:
-        return [[repr(v) for v in a.tolist()] for side in f() for a in side]
-    except (ValueError, OverflowError) as e:
+        return [[repr(v) for v in row.tolist()] for row in f()]
+    except OverflowError as e:
         return type(e)
 
 
 def assert_sides_match_one_sided(x, y):
-    """The two-sided pass equals _gauges(x, y) then _gauges(y, x), bit for bit and error for error."""
-    both = outcome(lambda: list(_gauge_sides(x, y, DEFAULT_TOL)))
-    assert both == outcome(lambda: [_gauges(x, y, DEFAULT_TOL), _gauges(y, x, DEFAULT_TOL)])
+    """Row 1 of _gauges(x, y) equals row 0 of _gauges(y, x), bit for bit and error for error."""
+    both = outcome(lambda: [a[1] for a in _gauges(x, y, DEFAULT_TOL)])
+    assert both == outcome(lambda: [a[0] for a in _gauges(y, x, DEFAULT_TOL)])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -302,15 +315,25 @@ def test_two_sided_gauges_match_one_sided_at_extreme_scales(sx, sy, rng):
 
 
 def test_two_sided_gauges_keep_the_error_order():
-    # the determinant modulus of the pair (0, 1) overflows; a row of the pair
-    # (2, 3) outside the planar cone is reported before it, as in _gauges
+    # the determinant modulus of the pair (0, 1) overflows in both orders
     a = 1.34e154 * cmath.exp(1j * math.pi / 8)
     b = 0.752e154 * cmath.exp(5j * math.pi / 8)
-    for x, y, error in ((cvec(a, b), cvec(b, a), OverflowError),
-                        (cvec(a, b, 1, -1), cvec(b, a, 1, 1), ValueError)):
-        assert outcome(lambda: list(_gauge_sides(x, y, DEFAULT_TOL))) is error
-        assert_sides_match_one_sided(x, y)
-        assert_sides_match_one_sided(y, x)
+    x, y = cvec(a, b), cvec(b, a)
+    assert outcome(lambda: _gauges(x, y, DEFAULT_TOL)[1]) is OverflowError
+    assert_sides_match_one_sided(x, y)
+    assert_sides_match_one_sided(y, x)
+    for call in (distance, beta):
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(OverflowError):
+                call(u, v)
+    # a non-member is reported before that overflow, whichever argument it is
+    x, y = cvec(a, b, -a), cvec(b, a, a)
+    assert outcome(lambda: _gauges(x, y, DEFAULT_TOL)[1]) is OverflowError
+    for call in (distance, beta):
+        with pytest.raises(ValueError, match="^x is not a member of the closed cone$"):
+            call(x, y)
+        with pytest.raises(ValueError, match="^y is not a member of the closed cone$"):
+            call(y, x)
 
 
 def test_distance_reads_both_gauges_of_beta(rng):
@@ -342,16 +365,42 @@ def test_gauges_raise_where_the_determinant_modulus_overflows():
         _gauges(cvec(a, b), cvec(b, a), DEFAULT_TOL)
 
 
-def test_row_cone_error_does_not_depend_on_coordinate_order():
-    # x is a closed member up to tol * ||x||^2, but the pair (1, 2) leaves the
-    # planar cone by more than tol * frob2 of its pair matrix
-    x = cvec(1000, 1e-3 * cmath.exp(-1e-5j), 1e-3j)
+X_WIDE = cvec(1000, 1e-3 * cmath.exp(-1e-5j), 1e-3j)  # a closed member up to tol * ||x||^2
+
+
+def test_pair_of_members_is_accepted_in_both_orders():
+    # the rows of the pair (1, 2) of [[x_p, x_q], [1, 1]] leave the planar cone
+    # by more than tol * frob2 of that 2x2 matrix, but membership is a property
+    # of each vector, so every entry point accepts the pair
     y = np.ones(3, dtype=complex)
-    assert member_closed(x)
+    assert member_closed(X_WIDE)
     for call in (beta, alpha, distance):
-        for u, v in ((x, y), (y, x)):
-            with pytest.raises(ValueError, match="planar cone"):
-                call(u, v)
+        for u, v in ((X_WIDE, y), (y, X_WIDE)):
+            call(u, v)
+    b = bounds_at(np.eye(3), X_WIDE)
+    assert b.lower <= 1.0 <= b.upper
+
+
+def test_gauge_domain_does_not_depend_on_the_scale_of_the_other_argument(rng):
+    pairs = [(X_WIDE, np.ones(3, dtype=complex))]
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        pairs.append((random_member(rng, n, interior=True), random_member(rng, n, interior=True)))
+    scales = (2.0 ** -20, 1.0, 2.0 ** 20, 1e6)  # the first three are exact
+
+    def attempt(call, u, v):
+        try:
+            return call(u, v)
+        except (ValueError, OverflowError) as e:
+            return type(e)
+
+    for x, y in pairs:
+        for call in (alpha, beta, distance):
+            for order in (lambda c: (x, c * y), lambda c: (c * y, x)):
+                got = [attempt(call, *order(c)) for c in scales]
+                assert len({isinstance(g, type) for g in got}) == 1
+                if call is distance and not isinstance(got[0], type):
+                    assert len({repr(g.distance) for g in got[:3]}) == 1
 
 
 def test_preorder_examples():

@@ -236,3 +236,14 @@ def test_input_validation():
         refine_bounds(np.eye(2), certify_matrix(np.eye(2)), 3)
     with pytest.raises(ValueError):
         refine_bounds(SYM, cert_sym, -1)
+
+
+@pytest.mark.parametrize("A, x, message", [
+    (np.eye(2), [0, 0], "test vector must be nonzero"),
+    (np.eye(2), [1, -1], "test vector is not a member of the closed cone"),
+    (np.diag([1.0, -1.0]), [1, 1], "matrix does not map the test vector into the cone"),
+])
+def test_bounds_at_messages(A, x, message):
+    with pytest.raises(ValueError) as info:
+        bounds_at(A, x)
+    assert str(info.value) == message
