@@ -13,6 +13,10 @@ refined rate from the full quadruple, and a diameter bound for the image.
 The sweep over all blocks is a chunked array evaluation of this one test.
 Its output is bit-identical to testing block by block with the scalar
 core2x2 predicates, which stay the reference the tests compare against.
+When A is square and exactly symmetric (A == A^T), the block (p, q, i, j)
+is the transpose of the block (i, j, p, q), so each such mirror pair is
+swept once, with the one margin that differs tested for both; the
+certificate is the same bit for bit.
 certify_perturbed runs the same sweep with every block quantity moved by
 given entrywise errors, so that its certificate covers every matrix within
 them, such as the exact value of a rounded matrix product.
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cone import _pair_index
 from .core2x2 import (
     DEFAULT_TOL,
     Complex2x2,
@@ -100,7 +105,7 @@ def _log_arg(s, dmod):
     return np.where(s - dmod > 0.0, (s + dmod) / (s - dmod), np.inf)
 
 
-def _block_tests(re, im, sq, entries, tol, pad=None):
+def _block_tests(re, im, sq, entries, tol, pad=None, mirror=False):
     """The 2x2 test on blocks (a, b, c, d) = (M[i,p], M[j,p], M[i,q], M[j,q]), as arrays.
 
     entries holds the flat indices of a, b, c and d in the raveled matrix; re,
@@ -117,11 +122,20 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
     Every block quantity is then moved by the most those errors allow, in the
     direction that hurts: the Re-products, R, S2 and S3 down, |ad - bc| up,
     and the ratio |ad| / |bc| out to both ends.
+
+    mirror=True also tests each block's mirror (a, c, b, d), the block
+    (p, q, i, j) of a symmetric matrix: open, closed and undefined then have
+    a second row for it. The mirror's quantities equal the block's bit for bit
+    (products commute, sums are taken in the same order), except that its
+    margin s sums the squares in another order and that its S2 and S3, so
+    its d2 and d3 log arguments, are the block's S3 and S2.
     """
     a, b, c, d = entries
     ar, ai, br, bi = re[a], im[a], re[b], im[b]
     cr, ci, dr, di = re[c], im[c], re[d], im[d]
     s = tol * (((sq[a] + sq[b]) + sq[c]) + sq[d])
+    if mirror:
+        s = np.stack((s, tol * (((sq[a] + sq[c]) + sq[b]) + sq[d])))
     re_ab = ar * br + ai * bi
     re_ac = ar * cr + ai * ci
     re_bd = br * dr + bi * di
@@ -180,15 +194,16 @@ def certify_matrix(A, tol: float = DEFAULT_TOL, sample: int | None = None, rng=N
     undefined. With sample=k, k blocks are drawn at random instead of
     enumerating everything, and the result is marked non-exhaustive.
 
-    The blocks are evaluated as arrays, CHUNK_BLOCKS at a time in
-    lexicographic (i, j, p, q) order. The result is bit-identical to testing
-    each block with the scalar core2x2 predicates (in_gamma_open,
-    in_gamma_closed, theta2, deltas), which remain the reference: witnesses
-    are the first non-open, the first non-closed and the first
-    theta-maximal block, as in a block-by-block loop.
+    The blocks are evaluated as arrays, CHUNK_BLOCKS at a time. The result is
+    bit-identical to testing each block in lexicographic (i, j, p, q) order
+    with the scalar core2x2 predicates (in_gamma_open, in_gamma_closed,
+    theta2, deltas), which remain the reference: witnesses are the first
+    non-open, the first non-closed and the first theta-maximal block, as in a
+    block-by-block loop. An exactly symmetric square A (A == A^T) is swept
+    by half, see _sweep.
     """
     M = _certifiable(A)
-    blocks = None  # None: every block, in order
+    blocks = None  # None: every block
     if sample is not None:
         if sample < 1:
             raise ValueError("sample size must be positive")
@@ -228,63 +243,151 @@ def _block_count(M: np.ndarray) -> int:
     return (n * (n - 1) // 2) * (m * (m - 1) // 2)
 
 
+def _listed_chunks(blocks, total: int, n_col_pairs: int):
+    """(block numbers, row pairs, column pairs) of the sorted blocks, or of all total blocks if None."""
+    count = total if blocks is None else blocks.size
+    for start in range(0, count, CHUNK_BLOCKS):
+        stop = min(start + CHUNK_BLOCKS, count)
+        ks = np.arange(start, stop) if blocks is None else blocks[start:stop]
+        yield (ks, *np.divmod(ks, n_col_pairs))
+
+
+def _half_chunks(n_pairs: int):
+    """(block numbers, row pairs, column pairs) of the blocks with row pair <= column pair.
+
+    They run in row-major order, and each chunk's pairs come from its own
+    positions h in that order, so the n_pairs (n_pairs + 1) / 2 of them are
+    never held at once.
+    """
+    rows = np.arange(n_pairs)
+    row_start = rows * n_pairs - rows * (rows - 1) // 2  # position of the pair (r, r)
+    count = n_pairs * (n_pairs + 1) // 2
+    for start in range(0, count, CHUNK_BLOCKS):
+        h = np.arange(start, min(start + CHUNK_BLOCKS, count))
+        rp = np.searchsorted(row_start, h, side="right") - 1
+        cp = h - row_start[rp] + rp
+        yield rp * n_pairs + cp, rp, cp
+
+
+class _Witnesses:
+    """The witness block numbers of a sweep, from chunks met in any order.
+
+    The result is what a loop over the blocks in increasing number finds: the
+    first non-open and the first non-closed block, and the theta extremum,
+    which that loop opens with the first defined theta and replaces only by a
+    strictly larger one. So it is the least number with the greatest defined
+    theta, unless the first defined theta is NaN, which no later theta
+    replaces.
+    """
+
+    def __init__(self):
+        self.not_open = self.not_closed = None
+        self.first_defined = None  # (number, theta) of the least defined block
+        self.top = None  # (theta, -number): the greatest non-NaN defined theta, its least number
+        self.all_defined = True
+
+    def add(self, ks, is_open, is_closed, theta, undefined):
+        """One chunk: numbers ks, shape (k,) or (2, k), and the tests of each.
+
+        theta has shape (k,) and serves both rows of ks. The least number of
+        the chunk comes first (ks.flat[0]); a number may occur twice.
+        """
+        lo = int(ks.flat[0])  # a witness found at or below lo stays
+        if not _below(self.not_open, lo) and not is_open.all():
+            self.not_open = _least(self.not_open, ks[~is_open])
+        if not _below(self.not_closed, lo) and not is_closed.all():
+            self.not_closed = _least(self.not_closed, ks[~is_closed])
+        k = 0
+        if undefined.any():
+            self.all_defined = False
+            defined = ~undefined
+            ks, theta = ks[defined], np.broadcast_to(theta, defined.shape)[defined]
+            if ks.size == 0:
+                return
+            k = int(ks.argmin())
+        if self.first_defined is None or ks.flat[k] < self.first_defined[0]:
+            self.first_defined = (int(ks.flat[k]), float(theta.flat[k]))
+        top = float(np.fmax.reduce(theta))  # NaN only when every theta is
+        if top == top and (self.top is None or top >= self.top[0]):
+            first_top = (top, -int(ks[..., theta == top].min()))
+            self.top = first_top if self.top is None else max(self.top, first_top)
+
+    def extremal(self) -> tuple[float, int | None]:
+        """theta_sup and its block number; (0.0, None) when no theta is defined."""
+        if self.first_defined is None:
+            return 0.0, None
+        k, theta = self.first_defined
+        if theta != theta:
+            return theta, k
+        return self.top[0], -self.top[1]
+
+
+def _least(best, ks) -> int:
+    k = int(ks.min())
+    return k if best is None else min(best, k)
+
+
+def _below(best, lo: int) -> bool:
+    return best is not None and best <= lo
+
+
 def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificate:
-    """Test the given block numbers of M (None: all, in order) and assemble the certificate.
+    """Test the given sorted block numbers of M (None: all) and assemble the certificate.
 
     err, if given, is the raveled entrywise error bound of certify_perturbed.
+    When every block is asked for, err is None and M is square and exactly
+    symmetric, the block (p, q, i, j) is the mirror (a, c, b, d) of the block
+    (i, j, p, q). Then only the blocks with row pair <= column pair are
+    swept, each testing its mirror's margin too (see _block_tests), and the
+    mirror's d2 and d3 are the block's d3 and d2. A mirror's number is never
+    below its own, and _Witnesses takes the least number, so the witnesses are
+    those of the full sweep. The padded sweep of certify_perturbed stays full:
+    its pads, too, sum in another order for the mirror.
     """
     n, m = M.shape
-    rows_i, rows_j = np.triu_indices(n, 1)
-    cols_p, cols_q = np.triu_indices(m, 1)
+    rows_i, rows_j = _pair_index(n, 1)
+    cols_p, cols_q = _pair_index(m, 1)
     n_col_pairs = cols_p.size  # block k is row pair k // n_col_pairs, column pair k % n_col_pairs
-    count = _block_count(M) if blocks is None else blocks.size
-    exhaustive = count == _block_count(M)
+    total = _block_count(M)
+    exhaustive = blocks is None or blocks.size == total
+    mirror = blocks is None and err is None and n == m and np.array_equal(M, M.T)
+    if mirror:
+        chunks = _half_chunks(n_col_pairs)
+    else:
+        chunks = _listed_chunks(blocks, total, n_col_pairs)
 
     re, im = np.ascontiguousarray(M.real).ravel(), np.ascontiguousarray(M.imag).ravel()
     pad = None if err is None else (np.hypot(re, im), err)
     sq = _squared_moduli(M)
 
-    first_not_open = first_not_closed = extremal = None  # block numbers
-    theta_sup = 0.0
-    theta_defined = True
+    found = _Witnesses()
     log_sups = [1.0, 1.0, 1.0]  # suprema of the d1..d3 log arguments; log(1) = 0
     ratio4_max = ratio4_min = 1.0
 
     with np.errstate(all="ignore"):
-        for start in range(0, count, CHUNK_BLOCKS):
-            stop = min(start + CHUNK_BLOCKS, count)
-            ks = np.arange(start, stop) if blocks is None else blocks[start:stop]
-            rp, cp = np.divmod(ks, n_col_pairs)
+        for ks, rp, cp in chunks:
             ri, rj = rows_i[rp] * m, rows_j[rp] * m
             p, q = cols_p[cp], cols_q[cp]
             is_open, is_closed, theta, undefined, *log_args, ratio4_lo, ratio4_hi = _block_tests(
-                re, im, sq, (ri + p, rj + p, ri + q, rj + q), tol, pad)
-            if first_not_open is None and not is_open.all():
-                first_not_open = int(ks[np.argmin(is_open)])
-            if first_not_closed is None and not is_closed.all():
-                first_not_closed = int(ks[np.argmin(is_closed)])
-            # the first defined theta opens the running maximum; a later one
-            # replaces it only when strictly larger
-            if extremal is None and not undefined.all():
-                k = int(np.argmin(undefined))
-                theta_sup, extremal = float(theta[k]), int(ks[k])
-            better = ~undefined & (theta > theta_sup)
-            if better.any():
-                k = int(np.argmax(np.where(better, theta, -1.0)))
-                theta_sup, extremal = float(theta[k]), int(ks[k])
-            theta_defined = theta_defined and not undefined.any()
+                re, im, sq, (ri + p, rj + p, ri + q, rj + q), tol, pad, mirror)
             # log is monotone, so the sup of the logs is the log of the sup;
             # fmax/fmin and max() skip NaN as the scalar max() of logs does
-            log_sups = [max(sup, float(np.fmax.reduce(x))) for sup, x in zip(log_sups, log_args)]
+            sups = [float(np.fmax.reduce(x)) for x in log_args]
+            if mirror:
+                ks = np.stack((ks, cp * n_col_pairs + rp))
+                sups[1] = sups[2] = float(np.fmax(sups[1], sups[2]))
+            found.add(ks, is_open, is_closed, theta, undefined)
+            log_sups = [max(sup, x) for sup, x in zip(log_sups, sups)]
             ratio4_max = max(ratio4_max, float(np.fmax.reduce(ratio4_hi)))
             ratio4_min = min(ratio4_min, float(np.fmin.reduce(ratio4_lo)))
 
-    if first_not_open is None:
+    theta_sup, extremal = found.extremal()
+    if found.not_open is None:
         classification, k = "strict", extremal
-    elif first_not_closed is None:
-        classification, k = "closed", first_not_open
+    elif found.not_closed is None:
+        classification, k = "closed", found.not_open
     else:
-        classification, k = "fail", first_not_closed
+        classification, k = "fail", found.not_closed
     rp, cp = divmod(k, n_col_pairs)
     i, j, p, q = int(rows_i[rp]), int(rows_j[rp]), int(cols_p[cp]), int(cols_q[cp])
     witness = BlockWitness(i, j, p, q, Complex2x2(M[i, p], M[j, p], M[i, q], M[j, q]))
@@ -292,7 +395,7 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
     d1, d2, d3 = (math.log(x) for x in log_sups)
     # |log r| is largest at the largest or at the smallest ratio r
     dsup = DeltaQuadruple(d1, d2, d3, max(abs(math.log(ratio4_max)), abs(math.log(ratio4_min))))
-    theta = theta_sup if theta_defined else None
+    theta = theta_sup if found.all_defined else None
     if classification == "strict":
         eta_simple = eta1(theta)
         eta_refined = refined_rate(dsup)

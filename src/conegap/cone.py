@@ -51,7 +51,10 @@ def _closed(v: np.ndarray, tol: float) -> bool:
     # Bring the largest part near 1 so the products below neither overflow nor
     # underflow; a power of two scales them and ||v||^2 exactly, and the test
     # is invariant under positive scaling
-    v = v * math.ldexp(1.0, -math.frexp(float(np.maximum(abs(v.real), abs(v.imag)).max()))[1])
+    e = -math.frexp(float(np.maximum(abs(v.real), abs(v.imag)).max()))[1]
+    if e > 1000:  # 2^e overflows for a largest part below 2^-1024; lifting in two steps is exact
+        v, e = v * 2.0 ** 1000, e - 1000
+    v = v * math.ldexp(1.0, e)
     # smallest Re(v_i conj(v_j)); the diagonal contributes |v_i|^2 >= 0
     return float(np.multiply.outer(v, v.conj()).real.min()) >= -tol * _norm2(v)
 
@@ -82,13 +85,15 @@ def _validated_pair(x, y, tol: float):
     return vx, vy
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), the coordinate pairs p <= q in row-major order, built once per n.
+@functools.lru_cache(maxsize=32)
+def _pair_index(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k), built once per (n, k): the coordinate pairs p <= q
+    (k = 0) or p < q (k = 1) in row-major order.
 
-    Every caller shares the two arrays, so they are read-only.
+    The pair gauges take k = 0, the block sweep k = 1 for its row and column
+    pairs. Every caller shares the two arrays, so they are read-only.
     """
-    p, q = np.triu_indices(n)
+    p, q = np.triu_indices(n, k)
     p.flags.writeable = q.flags.writeable = False
     return p, q
 

@@ -41,7 +41,10 @@ class EigenTriple:
     right and the left orbit met the stop rule under a rate below 1;
     otherwise the triple is a flagged partial result. power and power_rate
     are that p and eta_p, and left_iterations counts the steps of the left
-    orbit, the one that gives nu.
+    orbit, the one that gives nu. For an exactly symmetric A (A == A^T) the
+    left orbit is the right one, which runs once: nu is h / <h, h>,
+    left_iterations equals iterations, and converged is the right orbit's
+    stop under a rate below 1.
     """
 
     lam: complex
@@ -162,10 +165,12 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
     certificate itself is not changed. The left eigenvector comes from the
     same iteration on the plain transpose, under the same rate, since the
     class, theta and the contraction numbers are transpose-invariant; it is
-    rescaled to the bilinear normalization <nu, h> = 1. converged requires
-    both orbits to stop; iterations counts the right one and left_iterations
-    the left one, and power and power_rate give p and eta_p. tol must be finite
-    and nonnegative (0 stops only at an exact fixed point), and max_iter at
+    rescaled to the bilinear normalization <nu, h> = 1. For an exactly
+    symmetric A (A == A^T) that orbit is the right one over again, so it is
+    not run: nu = h / <h, h>. converged requires both orbits to stop;
+    iterations counts the right one and left_iterations the left one, and
+    power and power_rate give p and eta_p. tol must be finite and
+    nonnegative (0 stops only at an exact fixed point), and max_iter at
     least 1.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -180,7 +185,10 @@ def power_eigen(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: i
     p, eta = _power_rate(M, cert.eta_refined, tol)
     h, iters, gap, conv_right = _power_orbit(M, tol, max_iter, eta, p)
     lam = complex((M @ h)[0])
-    w, left_iters, _, conv_left = _power_orbit(M.T, tol, max_iter, eta, p)
+    if np.array_equal(M, M.T):  # the left orbit would be the right one again
+        w, left_iters, conv_left = h, iters, conv_right
+    else:
+        w, left_iters, _, conv_left = _power_orbit(M.T, tol, max_iter, eta, p)
     pairing = complex(np.dot(w, h))  # bilinear, no conjugation
     if pairing == 0:
         raise RuntimeError("bilinear pairing of the eigenvectors vanished")

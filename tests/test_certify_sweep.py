@@ -345,3 +345,198 @@ def test_perturbed_2x2_bounds_hold_at_searched_worst_cases():
                 assert np.log(arg.max()) <= d
             assert np.abs(np.log(ratio_hi)).max() <= bound.d4
     assert nonstrict_seen
+
+
+# -- exactly symmetric inputs: each mirror pair of blocks is swept once --------
+
+
+def symmetric(B):
+    """The exactly symmetric matrix with the upper triangle of B."""
+    return np.triu(B) + np.triu(B, 1).T
+
+
+def count_blocks(monkeypatch):
+    """Record how many blocks each _block_tests call evaluates."""
+    counts = []
+    real = certify._block_tests
+
+    def counting(re, im, sq, entries, *args, **kwargs):
+        counts.append(entries[0].size)
+        return real(re, im, sq, entries, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "_block_tests", counting)
+    return counts
+
+
+def test_symmetric_matrices_match_reference(chunk):
+    # n = 2..12, each with a strict, a closed and a failing kind; the strict
+    # and the failing kinds are complex symmetric, not Hermitian
+    rng = np.random.default_rng(13)
+    classes = set()
+    for k in range(33):
+        n, kind = 2 + k % 11, k % 3
+        if kind == 0:
+            B = rng.uniform(0.5, 2.0, (n, n)) * (1.0 + 0.05j * rng.uniform(-1.0, 1.0, (n, n)))
+        elif kind == 1:
+            B = rng.uniform(0.5, 2.0, (n, n)) * (rng.uniform(size=(n, n)) > 0.3)
+        else:
+            B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A = symmetric(B)
+        assert np.array_equal(A, A.T)
+        classes.add(assert_bit_identical(A).classification)
+    assert classes == {"strict", "closed", "fail"}
+
+
+def test_symmetric_kernel_presets_are_swept_by_half(tmp_path, capsys, monkeypatch, chunk):
+    counts = count_blocks(monkeypatch)
+    for name in ("constant", "affine", "gaussian"):
+        values = _preset_grid(tmp_path, name).values
+        assert np.array_equal(values, values.T)
+        counts.clear()
+        assert_bit_identical(values)
+        assert sum(counts) == 36 * 37 // 2  # 36 pairs of the 9 nodes
+    capsys.readouterr()
+
+
+def test_symmetric_zeros_and_undefined_theta_match_reference(chunk):
+    A = np.ones((6, 6), dtype=complex) + 0.2 * np.eye(6)
+    A[3] = A[:, 3] = 0.0  # rank-degenerate blocks: theta 0
+    cert = assert_bit_identical(A)
+    assert cert.classification == "closed" and cert.theta is not None
+    A[1, 4] = A[4, 1] = -1.0  # nonzero determinants over nonpositive denominators
+    assert assert_bit_identical(A).theta is None
+    # == holds for 0.0 and -0.0, so this matrix is swept by half too
+    A[0, 5], A[5, 0] = 0.0, -0.0
+    assert_bit_identical(A)
+    assert_bit_identical(np.zeros((5, 5)))
+    assert_bit_identical(np.eye(6))
+
+
+def _corner_blocks(M):
+    """The block (0, 2; 1, 2) of a 3x3 symmetric M and its mirror (1, 2; 0, 2)."""
+    block = Complex2x2(M[0, 1], M[2, 1], M[0, 2], M[2, 2])
+    mirror = Complex2x2(M[1, 0], M[2, 0], M[1, 2], M[2, 2])
+    assert (mirror.a, mirror.b, mirror.c, mirror.d) == (block.a, block.c, block.b, block.d)
+    return block, mirror
+
+
+def _corner(a, b, c, diagonal):
+    """3x3 symmetric family whose block (0, 2; 1, 2) is (a, b, c, t)."""
+    return lambda t: np.array([[diagonal[0], a, c], [a, diagonal[1], b], [c, b, t]])
+
+
+# The margin tol * frob2 of a block (a, b, c, d) sums the squares as
+# ((a + b) + c) + d and that of its mirror (a, c, b, d) as ((a + c) + b) + d.
+# In each family below the two round apart, and the quantity that the margin
+# decides sits in between at some t near the flip: (family, predicate, bracket,
+# tol, witness (i, j, p, q) where the block and its mirror disagree).
+def _open_at(tol):
+    return lambda T: in_gamma_open(T, tol)
+
+
+def _closed_at(tol):
+    return lambda T: in_gamma_closed(T, tol)
+
+
+def _defined_at(tol):
+    return lambda T: theta2(T) is not None or abs(T.det) <= tol * T.frob2()
+
+
+A1, B1, C1 = 1.6284737507154365, 0.8947242026384399, 1.1205097860825588
+A2, B2, C2 = 0.37211168264273503, 1.0166764271937312, 0.9405289515067233
+A3, B3, X3 = 0.9248566552999128, 1.0341248829387262, 0.314718951157425
+MIRROR_BOUNDARIES = [
+    # Re(b conj d) against the margin: the mirror (1, 2; 0, 2), block 7, is
+    # the first non-open block, ahead of the later half block (1, 2; 1, 2)
+    (_corner(A1, B1, C1, (C1 / 2, B1 / 2)), _open_at(DEFAULT_TOL), 0.0, 1e-6, DEFAULT_TOL, (1, 2, 0, 2)),
+    # Re(b conj d) against minus the margin: the mirror is the first failing block
+    (lambda t, f=_corner(A2, B2, C2, (C2 / 2, B2 / 2)): f(-t), _closed_at(DEFAULT_TOL), 0.0, 1e-6,
+     DEFAULT_TOL, (1, 2, 0, 2)),
+    # |det| against the margin over a negative denominator: only the mirror
+    # leaves theta undefined
+    (_corner(A3, -X3, B3, (1.0, 1.0)), _defined_at(0.25), 0.1, X3 * B3 / A3, 0.25, None),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, AWKWARD_SCALE])
+@pytest.mark.parametrize("case", range(len(MIRROR_BOUNDARIES)))
+def test_mirror_margins_decide_near_boundary_blocks(case, scale, chunk):
+    family, pred, lo, hi, tol, mirror_witness = MIRROR_BOUNDARIES[case]
+    t0 = _flip_point(lambda t: _corner_blocks(family(t))[0], pred, lo, hi)
+    disagree = set()
+    for t in _ulps_around(t0, 6):
+        M = family(t)
+        block, mirror = _corner_blocks(M)
+        cert = assert_bit_identical(scale * M, tol=tol)
+        if pred(block) != pred(mirror):
+            w = cert.witness
+            disagree.add((w.i, w.j, w.p, w.q) if mirror_witness else cert.theta)
+    if scale == 1.0:  # the family was chosen so the margins round apart unscaled
+        assert disagree == ({mirror_witness} if mirror_witness else {None})
+
+
+def test_symmetric_inputs_sweep_half_the_blocks(monkeypatch):
+    counts = count_blocks(monkeypatch)
+    rng = np.random.default_rng(14)
+    A = symmetric(rng.uniform(0.5, 2.0, (7, 7)) * (1.0 + 0.05j * rng.uniform(-1.0, 1.0, (7, 7))))
+    pairs = 7 * 6 // 2
+    certify_matrix(A)
+    assert sum(counts) == pairs * (pairs + 1) // 2
+    counts.clear()
+    B = A.copy()
+    B[2, 5] = complex(math.nextafter(B[2, 5].real, math.inf), B[2, 5].imag)
+    assert not np.array_equal(B, B.T)
+    assert_bit_identical(B)
+    assert sum(counts) == pairs * pairs
+    counts.clear()
+    certify_matrix(A, sample=pairs * pairs)  # a sample lists its blocks, every one
+    assert sum(counts) == pairs * pairs
+
+
+def test_perturbed_symmetric_input_keeps_the_full_sweep(monkeypatch, chunk):
+    # the pads of a block and of its mirror sum in another order
+    counts = count_blocks(monkeypatch)
+    rng = np.random.default_rng(15)
+    A = symmetric(rng.uniform(0.5, 2.0, (6, 6)) * (1.0 + 0.05j * rng.uniform(-1.0, 1.0, (6, 6))))
+    got = certify_perturbed(A, np.zeros(A.shape))
+    want = reference_certify(A)
+    assert got == want and repr(got) == repr(want)
+    assert sum(counts) == 15 * 15
+    counts.clear()
+    E = symmetric(1e-9 * rng.uniform(size=A.shape))
+    padded = certify_perturbed(A, E)
+    assert sum(counts) == 15 * 15
+    assert padded.strict and padded.theta >= want.theta
+
+
+def test_symmetric_sweep_memory_stays_small():
+    # 2016 x 2017 / 2 half blocks at n = 64; they are made chunk by chunk
+    rng = np.random.default_rng(0)
+    A = symmetric(rng.uniform(0.5, 2.0, (64, 64)) * (1.0 + 0.05j * rng.uniform(-1.0, 1.0, (64, 64))))
+    tracemalloc.start()
+    try:
+        cert = certify_matrix(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.strict and cert.exhaustive
+    assert peak < 32 * 2**20
+
+
+def test_witnesses_are_the_least_numbers_over_chunks():
+    # a half sweep meets block 5 with its mirror 19, then block 14 with its
+    # mirror 20; block 14 comes later but precedes mirror 19 in full order
+    found = certify._Witnesses()
+    ones = np.ones(1, dtype=bool)
+    found.add(np.array([[5], [19]]), np.array([[True], [False]]), np.array([[True], [False]]),
+              np.array([0.5]), np.array([[False], [False]]))
+    assert (found.not_open, found.not_closed) == (19, 19)
+    found.add(np.array([[14], [20]]), np.array([[False], [True]]), np.array([[False], [True]]),
+              np.array([0.75]), np.array([[False], [True]]))
+    assert (found.not_open, found.not_closed) == (14, 14)
+    assert found.extremal() == (0.75, 14) and not found.all_defined
+    found.add(np.array([3]), ones, ones, np.array([0.75]), ones)  # undefined: no theta
+    found.add(np.array([9]), ones, ones, np.array([0.75]), ~ones)
+    assert found.extremal() == (0.75, 9)
+    found.add(np.array([2]), ones, ones, np.array([math.nan]), ~ones)
+    assert math.isnan(found.extremal()[0]) and found.extremal()[1] == 2  # NaN first: it stays

@@ -65,6 +65,23 @@ def test_membership_at_extreme_scales_matches_unscaled(rng):
             assert member_closed(1e160 * v) == member_closed(1e-160 * v) == member_closed(v)
 
 
+def test_membership_of_subnormal_vectors():
+    # lifting a largest part below 2^-1024 to near 1 takes a power of two
+    # beyond the double range; membership must still answer, scale-free
+    tiny = [cvec(5e-324, 0), cvec(1e-310, 1e-310), cvec(1e-310, -1e-310), cvec(3e-320, 1e-315j),
+            cvec(2e-310 + 1e-311j, 5e-324, 1e-309)]
+    assert member_closed(tiny[0]) and member_closed(tiny[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in tiny:
+            want = member_closed(v)
+            # scaling up from the subnormal range is exact
+            for k in (1, 52, 600, 1023):
+                assert member_closed(v * 2.0 ** k) == want
+            assert member_closed(v * 2.0 ** 1023 * 2.0 ** 500) == want
+    assert not member_closed(tiny[2])
+
+
 def test_membership_rejects_bad_input():
     with pytest.raises(ValueError):
         member_closed(cvec(1, complex(float("nan"), 0)))
@@ -351,6 +368,18 @@ def test_pair_index_is_cached_and_read_only(n):
     assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
     assert _pair_index(n)[0] is p
     for a in (p, q):
+        with pytest.raises(ValueError):
+            a[0] = 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_block_pair_index_is_cached_and_read_only(n):
+    # the block sweep's row and column pairs i < j share the gauges' cache
+    i, j = _pair_index(n, 1)
+    want_i, want_j = np.triu_indices(n, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert _pair_index(n, 1)[0] is i and _pair_index(n)[0] is not i
+    for a in (i, j):
         with pytest.raises(ValueError):
             a[0] = 5
 

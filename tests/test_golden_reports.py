@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
     "certify_identity": ["certify", "demos/data/identity.json"],
     "certify_sym": ["certify", "demos/data/sym.json"],
+    "certify_sym8": ["certify", "demos/data/sym8.json"],
     "product_sym_sym": ["product", "demos/data/sym.json", "demos/data/sym.json"],
     "kernel_sample5_gaussian8": ["kernel", "--sample", "5", "demos/data/gaussian8.json"],
     "metric_vectors_0_1": ["metric", "demos/data/vectors.json", "0", "1"],

@@ -117,6 +117,53 @@ def test_triple_reports_the_power_its_rate_and_the_left_steps():
     assert left[3] and t.left_iterations == left[1]
 
 
+def _complex_symmetric(rng, n):
+    """A strict complex symmetric matrix, A == A^T, that is not Hermitian."""
+    while True:
+        B = rng.uniform(0.5, 2.0, (n, n)) * (1.0 + 0.05j * rng.uniform(-1.0, 1.0, (n, n)))
+        A = np.triu(B) + np.triu(B, 1).T
+        cert = certify_matrix(A)
+        if cert.strict:
+            assert np.array_equal(A, A.T) and not np.array_equal(A, A.conj().T)
+            return A, cert
+
+
+def _count_orbits(monkeypatch):
+    calls = []
+    real = spectral._power_orbit
+
+    def counting(M, *args):
+        calls.append(M)
+        return real(M, *args)
+
+    monkeypatch.setattr(spectral, "_power_orbit", counting)
+    return calls
+
+
+def test_symmetric_nu_comes_from_the_right_orbit(monkeypatch, rng):
+    A, cert = _complex_symmetric(rng, 7)
+    calls = _count_orbits(monkeypatch)
+    t = power_eigen(A, cert)
+    assert len(calls) == 1 and t.converged
+    assert t.left_iterations == t.iterations
+    scale = abs(t.lam) * np.linalg.norm(t.nu)
+    assert np.linalg.norm(t.nu @ A - t.lam * t.nu) <= 1e-12 * scale
+    assert abs(complex(np.dot(t.nu, t.h)) - 1.0) <= 1e-15
+    # the left orbit that the symmetric path skips gives the same nu to rounding
+    w = spectral._power_orbit(A.T, 1e-12, 1000, t.power_rate, t.power)[0]
+    nu = w / complex(np.dot(w, t.h))
+    assert np.linalg.norm(t.nu - nu) <= 1e-15 * np.linalg.norm(nu)
+
+
+def test_an_ulp_from_symmetric_runs_both_orbits(monkeypatch, rng):
+    A, cert = _complex_symmetric(rng, 6)
+    A[1, 4] = complex(A[1, 4].real, math.nextafter(A[1, 4].imag, math.inf))
+    calls = _count_orbits(monkeypatch)
+    t = power_eigen(A, certify_matrix(A))
+    assert len(calls) == 2 and np.array_equal(calls[1], calls[0].T)
+    assert t.converged and abs(complex(np.dot(t.nu, t.h)) - 1.0) <= 1e-14
+
+
 def _exact_square(X):
     # X[i][j] = (re, im) as Fractions
     n = len(X)
