@@ -25,19 +25,15 @@ from .cone import (
 )
 from .core2x2 import (
     DEFAULT_TOL,
-    INFINITY,
     Complex2x2,
     DeltaQuadruple,
     Phi,
-    RiemannPoint,
     delta1,
     deltas,
     diameter_bound,
     eta1,
     in_gamma_closed,
     in_gamma_open,
-    mobius_apply,
-    mobius_disk,
     phi,
     rank_of,
     refined_rate,
@@ -70,8 +66,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Complex2x2",
     "DeltaQuadruple",
-    "RiemannPoint",
-    "INFINITY",
     "in_gamma_open",
     "in_gamma_closed",
     "theta2",
@@ -79,8 +73,6 @@ __all__ = [
     "rank_of",
     "phi",
     "Phi",
-    "mobius_apply",
-    "mobius_disk",
     "delta1",
     "eta1",
     "refined_rate",

@@ -32,7 +32,6 @@ from .core2x2 import (
     DEFAULT_TOL,
     Complex2x2,
     DeltaQuadruple,
-    _squared_moduli,
     diameter_bound,
     eta1,
     refined_rate,
@@ -109,7 +108,9 @@ def _block_tests(re, im, sq, entries, tol, pad=None, mirror=False):
     """The 2x2 test on blocks (a, b, c, d) = (M[i,p], M[j,p], M[i,q], M[j,q]), as arrays.
 
     entries holds the flat indices of a, b, c and d in the raveled matrix; re,
-    im and sq are its real parts, imaginary parts and squared moduli. Returns
+    im and sq are its real parts, imaginary parts and squared moduli, each
+    hypot modulus times itself as core2x2's frob2 squares them (_sweep raises
+    OverflowError where one is infinite, past |z| ~ 1.34e154). Returns
     per block: open and closed membership, theta (0 where the denominator is
     not positive), whether theta is undefined, the arguments of the
     logarithms that give d1, d2, d3 of the transposed block, and the least and
@@ -357,8 +358,12 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
         chunks = _listed_chunks(blocks, total, n_col_pairs)
 
     re, im = np.ascontiguousarray(M.real).ravel(), np.ascontiguousarray(M.imag).ravel()
-    pad = None if err is None else (np.hypot(re, im), err)
-    sq = _squared_moduli(M)
+    with np.errstate(over="ignore"):
+        mod = np.hypot(re, im)  # the moduli abs() gives
+        sq = mod * mod
+    if np.isinf(sq).any():  # where frob2 raises
+        raise OverflowError("squared modulus too large")
+    pad = None if err is None else (mod, err)
 
     found = _Witnesses()
     log_sups = [1.0, 1.0, 1.0]  # suprema of the d1..d3 log arguments; log(1) = 0

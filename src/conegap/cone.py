@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core2x2 import DEFAULT_TOL, _squared_moduli
+from .core2x2 import DEFAULT_TOL
 
 __all__ = [
     "as_vector",
@@ -107,18 +107,21 @@ def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
     membership rule, accepted. Each value repeats core2x2.phi/Phi (which check
     their own 2x2 rows) operation for operation, so it is bit-identical to
     them: complex products in CPython's order, hypot for moduli as in
-    abs(complex), squares as abs(z) ** 2. Swapping the rows ([::-1]) negates
-    ad - bc and Im(a conj(d) + b conj(c)) exactly, since fl(u - v) =
-    -fl(v - u), so |ad - bc| and the cross term serve both orders; the squared
-    Frobenius norm sums in another order in each row, so it and the rank tests
-    are made per row. Raises only OverflowError, as abs() does in phi/Phi:
-    where a square overflows, and else where |ad - bc| does.
+    abs(complex), and squares as core2x2 takes them, each hypot modulus times
+    itself. Swapping the rows ([::-1]) negates ad - bc and Im(a conj(d) +
+    b conj(c)) exactly, since fl(u - v) = -fl(v - u), so |ad - bc| and the
+    cross term serve both orders; the squared Frobenius norm sums in another
+    order in each row, so it and the rank tests are made per row. Raises only
+    OverflowError, as phi/Phi do: where a square is infinite (past |z| ~
+    1.34e154), and else where |ad - bc| is.
     """
     p, q = _pair_index(x.size)
     z = np.array([x, y])
-    sq = _squared_moduli(z).reshape(z.shape)
     with np.errstate(all="ignore"):
         m = np.hypot(z.real, z.imag)
+        sq = m * m
+        if np.isinf(sq).any():
+            raise OverflowError("squared modulus too large")
         # a = x_p, b = x_q in row 0 over c = y_p, d = y_q in row 1
         pr, pi, qr, qi = z.real[:, p], z.imag[:, p], z.real[:, q], z.imag[:, q]
         sqp, sqq, mp, mq = sq[:, p], sq[:, q], m[:, p], m[:, q]

@@ -4,19 +4,19 @@ A matrix M = [[a, b], [c, d]] acts as the Moebius map z -> (a z + b)/(c z + d)
 on the closed right half-plane. This module computes everything attached to
 that action: membership in the contraction classes (open, closed,
 theta-bounded), the contraction numbers d1..d4, the projective extrema phi
-and Phi, the image disk or half-plane, and the rate functions delta1 and
-eta1.
+and Phi, and the rate functions delta1 and eta1.
 
 All strict comparisons use one tolerance, taken relative to the squared
-Frobenius norm of the matrix, so every predicate is scale-free. Degenerate
-subexpressions evaluate to +inf rather than raising; products of 0 and inf
-never arise in the formulas below.
+Frobenius norm of the matrix, so every predicate is scale-free. A squared
+modulus is abs(z) * abs(z), the hypot modulus squared by multiplication, and
+raises OverflowError where it is infinite (past |z| ~ 1.34e154); the array
+code in certify and cone squares the same way, so it matches bit for bit.
+Degenerate subexpressions evaluate to +inf rather than raising; products of 0
+and inf never arise in the formulas below.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 DEFAULT_TOL = 1e-12
 ROW_CONE_ERROR = "rows must lie in the closed planar cone: need Re(a conj(b)) >= 0 and Re(c conj(d)) >= 0"
@@ -24,11 +24,8 @@ ROW_CONE_ERROR = "rows must lie in the closed planar cone: need Re(a conj(b)) >=
 __all__ = [
     "DEFAULT_TOL",
     "Complex2x2",
-    "RiemannPoint",
-    "INFINITY",
     "DeltaQuadruple",
     "as_mat2",
-    "as_point",
     "in_gamma_open",
     "in_gamma_closed",
     "theta2",
@@ -36,13 +33,19 @@ __all__ = [
     "phi",
     "Phi",
     "rank_of",
-    "mobius_apply",
-    "mobius_disk",
     "delta1",
     "eta1",
     "refined_rate",
     "diameter_bound",
 ]
+
+
+def _square(x: float) -> float:
+    """x * x for a modulus x; OverflowError where that is infinite, as x ** 2 raises."""
+    s = x * x
+    if s == math.inf:
+        raise OverflowError("squared modulus too large")
+    return s
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -76,20 +79,10 @@ class Complex2x2:
 
     def frob2(self) -> float:
         """Squared Frobenius norm, the scale for all relative tolerances."""
-        return abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
+        return _square(abs(self.a)) + _square(abs(self.b)) + _square(abs(self.c)) + _square(abs(self.d))
 
     def transpose(self) -> "Complex2x2":
         return Complex2x2(self.a, self.c, self.b, self.d)
-
-
-def _squared_moduli(z: np.ndarray) -> np.ndarray:
-    """abs(v) ** 2 of every entry v of z, squared as frob2 squares them.
-
-    numpy squares as x * x, but abs(v) ** 2 calls libm pow, which is not
-    always correctly rounded, so array code that must match frob2 bit for bit
-    squares through here. Raises OverflowError past |v| ~ 1.34e154.
-    """
-    return np.array([abs(v) ** 2 for v in z.ravel().tolist()])
 
 
 def as_mat2(M) -> Complex2x2:
@@ -217,7 +210,7 @@ def _rank_one_value(M: Complex2x2, tol: float) -> float:
     # modulus of the constant value of a rank-one map: |a/c|, or |b/d| when
     # the first column carries no mass
     f2 = M.frob2()
-    col1 = abs(M.a) ** 2 + abs(M.c) ** 2
+    col1 = _square(abs(M.a)) + _square(abs(M.c))
     if col1 > tol * f2:
         num, den = abs(M.a), abs(M.c)
     else:
@@ -275,152 +268,6 @@ def phi(M, tol: float = DEFAULT_TOL) -> float:
         return 0.0
     den = abs(M.a * M.d.conjugate() + M.b * M.c.conjugate()) + abs(M.det)
     return 2.0 * re_ab / den
-
-
-@dataclass(frozen=True)
-class RiemannPoint:
-    """A point of the Riemann sphere: a finite complex value, or infinity (value None)."""
-
-    value: complex | None
-
-    def __post_init__(self):
-        if self.value is not None:
-            object.__setattr__(self, "value", _require_finite(self.value, "point"))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def homogeneous(self) -> tuple[complex, complex]:
-        """Homogeneous coordinates (z, w) with the point equal to z/w."""
-        if self.value is None:
-            return (1.0 + 0.0j, 0.0j)
-        return (self.value, 1.0 + 0.0j)
-
-
-INFINITY = RiemannPoint(None)
-
-
-def as_point(z) -> RiemannPoint:
-    """Coerce a RiemannPoint, a finite number, or an infinite float."""
-    if isinstance(z, RiemannPoint):
-        return z
-    z = complex(z)
-    if math.isinf(z.real) or math.isinf(z.imag):
-        return INFINITY
-    return RiemannPoint(_require_finite(z, "point"))
-
-
-@dataclass(frozen=True)
-class DiskOrHalfPlane:
-    """Image of the closed right half-plane under a Moebius map.
-
-    kind 'disk':       {z : |z - center| <= radius}
-    kind 'half_plane': {z : Re(z * conj(normal)) >= offset}, |normal| = 1
-    kind 'point':      a single Riemann-sphere point (rank-one map)
-    kind 'empty':      the zero matrix, no image at all
-    """
-
-    kind: str
-    center: complex | None = None
-    radius: float | None = None
-    normal: complex | None = None
-    offset: float | None = None
-    point: RiemannPoint | None = None
-
-    @classmethod
-    def disk(cls, center: complex, radius: float) -> "DiskOrHalfPlane":
-        return cls("disk", center=complex(center), radius=float(radius))
-
-    @classmethod
-    def half_plane(cls, normal: complex, offset: float) -> "DiskOrHalfPlane":
-        return cls("half_plane", normal=complex(normal), offset=float(offset))
-
-    @classmethod
-    def single_point(cls, p: RiemannPoint) -> "DiskOrHalfPlane":
-        return cls("point", point=p)
-
-    @classmethod
-    def empty(cls) -> "DiskOrHalfPlane":
-        return cls("empty")
-
-    def contains(self, z: complex, tol: float = DEFAULT_TOL) -> bool:
-        z = complex(z)
-        pad = tol * (1.0 + abs(z))
-        if self.kind == "disk":
-            pad = tol * (1.0 + abs(z) + abs(self.center) + self.radius)
-            return abs(z - self.center) <= self.radius + pad
-        if self.kind == "half_plane":
-            pad = tol * (1.0 + abs(z) + abs(self.offset))
-            return (z * self.normal.conjugate()).real >= self.offset - pad
-        if self.kind == "point":
-            if self.point.is_infinity:
-                return False
-            return abs(z - self.point.value) <= pad
-        return False
-
-
-def mobius_apply(M, p) -> RiemannPoint:
-    """Evaluate z -> (a z + b)/(c z + d) at a Riemann-sphere point."""
-    M = as_mat2(M)
-    p = as_point(p)
-    z, w = p.homogeneous()
-    num = M.a * z + M.b * w
-    den = M.c * z + M.d * w
-    if den == 0:
-        if num == 0:
-            raise ValueError("Moebius map is undefined at this point (matrix too degenerate)")
-        return INFINITY
-    return RiemannPoint(num / den)
-
-
-def mobius_disk(M, tol: float = DEFAULT_TOL) -> DiskOrHalfPlane:
-    """Image of the closed right half-plane under the Moebius action of M.
-
-    Rows of M must lie in the closed planar cone. Rank 2 with
-    Re(c conj(d)) > 0 gives the disk with center
-    (a conj(d) + b conj(c)) / (2 Re(c conj(d))) and radius
-    |ad - bc| / (2 Re(c conj(d))); Re(c conj(d)) = 0 gives a half-plane;
-    rank 1 gives the single image point; rank 0 gives the empty region.
-    """
-    M = as_mat2(M)
-    _check_row_cone(M, tol)
-    rk = rank_of(M, tol)
-    if rk == 0:
-        return DiskOrHalfPlane.empty()
-    if rk == 1:
-        f2 = M.frob2()
-        col1 = abs(M.a) ** 2 + abs(M.c) ** 2
-        if col1 > tol * f2:
-            num, den = M.a, M.c
-        else:
-            num, den = M.b, M.d
-        if den == 0:
-            return DiskOrHalfPlane.single_point(INFINITY)
-        return DiskOrHalfPlane.single_point(RiemannPoint(num / den))
-    re_cd = (M.c * M.d.conjugate()).real
-    s = tol * M.frob2()
-    if re_cd > s:
-        denom = 2.0 * re_cd
-        center = (M.a * M.d.conjugate() + M.b * M.c.conjugate()) / denom
-        return DiskOrHalfPlane.disk(center, abs(M.det) / denom)
-
-    # Boundary case Re(c conj(d)) = 0: the image is a closed half-plane whose
-    # boundary line is the image of the imaginary axis. The pole -d/c sits on
-    # that axis, so among these four boundary points at least three stay finite.
-    candidates = [INFINITY, RiemannPoint(0.0j), RiemannPoint(1.0j), RiemannPoint(-1.0j)]
-    finite = [q.value for q in (mobius_apply(M, p) for p in candidates) if not q.is_infinity]
-    w1, w2, sep = finite[0], finite[1], -1.0
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            if abs(finite[i] - finite[j]) > sep:
-                w1, w2, sep = finite[i], finite[j], abs(finite[i] - finite[j])
-    w_in = mobius_apply(M, RiemannPoint(1.0 + 0.0j)).value  # z = 1 is interior, off the pole
-    normal = 1.0j * (w2 - w1)
-    normal = normal / abs(normal)
-    if ((w_in - w1) * normal.conjugate()).real < 0.0:
-        normal = -normal
-    return DiskOrHalfPlane.half_plane(normal, (w1 * normal.conjugate()).real)
 
 
 def delta1(theta: float) -> float:

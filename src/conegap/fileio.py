@@ -96,19 +96,23 @@ def _list(obj, path: str, where: str, length: int | None = None) -> list:
     return obj
 
 
+def _table(obj, path: str, where: str, rows: int | None, cols: int) -> np.ndarray:
+    """A JSON array of rows arrays of cols [re, im] pairs (any number if rows is None), as complex."""
+    table = _list(obj, path, where, rows)
+    out = np.empty((len(table), cols), dtype=complex)
+    for i, row in enumerate(table):
+        for j, entry in enumerate(_list(row, path, f"{where}[{i}]", cols)):
+            out[i, j] = _complex(entry, path, f"{where}[{i}][{j}]")
+    return out
+
+
 def parse_matrix(path: str) -> np.ndarray:
     """Strictly parse a matrix file into a complex ndarray."""
     doc = _load(path)
     _expect_keys(doc, {"rows", "cols", "data"}, path)
     rows = _int(doc["rows"], path, "rows", 1)
     cols = _int(doc["cols"], path, "cols", 1)
-    data = _list(doc["data"], path, "data", rows)
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        row = _list(row, path, f"data[{i}]", cols)
-        for j, entry in enumerate(row):
-            out[i, j] = _complex(entry, path, f"data[{i}][{j}]")
-    return out
+    return _table(doc["data"], path, "data", rows, cols)
 
 
 def parse_vectors(path: str) -> list[np.ndarray]:
@@ -116,17 +120,10 @@ def parse_vectors(path: str) -> list[np.ndarray]:
     doc = _load(path)
     _expect_keys(doc, {"dim", "vectors"}, path)
     dim = _int(doc["dim"], path, "dim", 1)
-    vectors = _list(doc["vectors"], path, "vectors")
-    if not vectors:
+    vectors = _table(doc["vectors"], path, "vectors", None, dim)
+    if not len(vectors):
         raise ParseError(path, "vectors", "need at least one vector")
-    out = []
-    for k, vec in enumerate(vectors):
-        vec = _list(vec, path, f"vectors[{k}]", dim)
-        v = np.empty(dim, dtype=complex)
-        for i, entry in enumerate(vec):
-            v[i] = _complex(entry, path, f"vectors[{k}][{i}]")
-        out.append(v)
-    return out
+    return list(vectors)
 
 
 def parse_kernel(path: str) -> KernelGrid:
@@ -138,11 +135,7 @@ def parse_kernel(path: str) -> KernelGrid:
     if n < 2:
         raise ParseError(path, "points", "need at least two grid points")
     weights = [_real(v, path, f"weights[{i}]") for i, v in enumerate(_list(doc["weights"], path, "weights", n))]
-    values = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(_list(doc["values"], path, "values", n)):
-        row = _list(row, path, f"values[{i}]", n)
-        for j, entry in enumerate(row):
-            values[i, j] = _complex(entry, path, f"values[{i}][{j}]")
+    values = _table(doc["values"], path, "values", n, n)
     try:
         return KernelGrid(points, weights, values)
     except ValueError as e:

@@ -167,8 +167,14 @@ BOUNDARIES = [
 ]
 
 
-# libm's pow(x, 2.0), which abs(z) ** 2 calls, is not x * x for this x
+# libm's pow(x, 2.0), which abs(z) ** 2 calls, is not x * x for this x. Both
+# sides square a modulus by multiplication, so a pow put back on either side
+# breaks their bitwise agreement at this scale.
 AWKWARD_SCALE = 8.237813583927716
+
+
+def test_frob2_squares_moduli_by_multiplication():
+    assert Complex2x2(AWKWARD_SCALE, 0, 0, 0).frob2() == AWKWARD_SCALE * AWKWARD_SCALE
 
 
 @pytest.mark.parametrize("scale", [1.0, AWKWARD_SCALE])

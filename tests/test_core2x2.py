@@ -5,26 +5,22 @@ import numpy as np
 import pytest
 
 from conegap.core2x2 import (
-    INFINITY,
     Complex2x2,
     DeltaQuadruple,
     Phi,
-    RiemannPoint,
     as_mat2,
-    as_point,
     delta1,
     deltas,
     diameter_bound,
     eta1,
     in_gamma_closed,
     in_gamma_open,
-    mobius_apply,
-    mobius_disk,
     phi,
     rank_of,
     refined_rate,
     theta2,
 )
+from tests.reference_mobius import INFINITY, RiemannPoint, as_point, mobius_apply, mobius_disk
 
 LOG4 = math.log(4.0)
 
