@@ -14,9 +14,10 @@ The sweep over all blocks is a chunked array evaluation of this one test.
 Its output is bit-identical to testing block by block with the scalar
 core2x2 predicates, which stay the reference the tests compare against.
 When A is square and exactly symmetric (A == A^T), the block (p, q, i, j)
-is the transpose of the block (i, j, p, q), so each such mirror pair is
-swept once, with the one margin that differs tested for both; the
-certificate is the same bit for bit.
+is the transpose of the block (i, j, p, q). Every test quantity, the margin
+tol * frob2 included, is the same bit for bit for a block and its transpose
+(see core2x2.Complex2x2.frob2), except that S2 and S3 trade places; so each
+such mirror pair is swept once, and the certificate is the same bit for bit.
 certify_perturbed runs the same sweep with every block quantity moved by
 given entrywise errors, so that its certificate covers every matrix within
 them, such as the exact value of a rounded matrix product.
@@ -104,13 +105,14 @@ def _log_arg(s, dmod):
     return np.where(s - dmod > 0.0, (s + dmod) / (s - dmod), np.inf)
 
 
-def _block_tests(re, im, sq, entries, tol, pad=None, mirror=False):
+def _block_tests(re, im, sq, entries, tol, pad=None):
     """The 2x2 test on blocks (a, b, c, d) = (M[i,p], M[j,p], M[i,q], M[j,q]), as arrays.
 
     entries holds the flat indices of a, b, c and d in the raveled matrix; re,
     im and sq are its real parts, imaginary parts and squared moduli, each
     hypot modulus times itself as core2x2's frob2 squares them (_sweep raises
-    OverflowError where one is infinite, past |z| ~ 1.34e154). Returns
+    OverflowError where one is infinite, past |z| ~ 1.34e154), and the margin
+    sums them in frob2's order, (|a|^2 + |d|^2) + (|b|^2 + |c|^2). Returns
     per block: open and closed membership, theta (0 where the denominator is
     not positive), whether theta is undefined, the arguments of the
     logarithms that give d1, d2, d3 of the transposed block, and the least and
@@ -124,19 +126,14 @@ def _block_tests(re, im, sq, entries, tol, pad=None, mirror=False):
     direction that hurts: the Re-products, R, S2 and S3 down, |ad - bc| up,
     and the ratio |ad| / |bc| out to both ends.
 
-    mirror=True also tests each block's mirror (a, c, b, d), the block
-    (p, q, i, j) of a symmetric matrix: open, closed and undefined then have
-    a second row for it. The mirror's quantities equal the block's bit for bit
-    (products commute, sums are taken in the same order), except that its
-    margin s sums the squares in another order and that its S2 and S3, so
+    Without pad, the transpose (a, c, b, d) of a block gets the same values
+    bit for bit, as products and sums commute, except that its S2 and S3, so
     its d2 and d3 log arguments, are the block's S3 and S2.
     """
     a, b, c, d = entries
     ar, ai, br, bi = re[a], im[a], re[b], im[b]
     cr, ci, dr, di = re[c], im[c], re[d], im[d]
-    s = tol * (((sq[a] + sq[b]) + sq[c]) + sq[d])
-    if mirror:
-        s = np.stack((s, tol * (((sq[a] + sq[c]) + sq[b]) + sq[d])))
+    s = tol * ((sq[a] + sq[d]) + (sq[b] + sq[c]))
     re_ab = ar * br + ai * bi
     re_ac = ar * cr + ai * ci
     re_bd = br * dr + bi * di
@@ -271,65 +268,37 @@ def _half_chunks(n_pairs: int):
 
 
 class _Witnesses:
-    """The witness block numbers of a sweep, from chunks met in any order.
+    """The witness block numbers of a sweep, from chunks met in increasing number.
 
-    The result is what a loop over the blocks in increasing number finds: the
-    first non-open and the first non-closed block, and the theta extremum,
-    which that loop opens with the first defined theta and replaces only by a
-    strictly larger one. So it is the least number with the greatest defined
-    theta, unless the first defined theta is NaN, which no later theta
-    replaces.
+    The result is what a loop over the blocks finds: the first non-open and
+    the first non-closed block, and the theta extremum, which that loop opens
+    with the first defined theta and replaces only by a strictly larger one
+    (so a NaN first theta stays). Full, sampled and half sweeps all yield
+    increasing numbers. A half sweep skips the mirrors, which share their
+    block's tests (the margin sum commutes) and never come first in full order.
     """
 
     def __init__(self):
         self.not_open = self.not_closed = None
-        self.first_defined = None  # (number, theta) of the least defined block
-        self.top = None  # (theta, -number): the greatest non-NaN defined theta, its least number
+        self.top = (0.0, None)  # theta_sup and its block number: the running theta extremum
         self.all_defined = True
 
     def add(self, ks, is_open, is_closed, theta, undefined):
-        """One chunk: numbers ks, shape (k,) or (2, k), and the tests of each.
-
-        theta has shape (k,) and serves both rows of ks. The least number of
-        the chunk comes first (ks.flat[0]); a number may occur twice.
-        """
-        lo = int(ks.flat[0])  # a witness found at or below lo stays
-        if not _below(self.not_open, lo) and not is_open.all():
-            self.not_open = _least(self.not_open, ks[~is_open])
-        if not _below(self.not_closed, lo) and not is_closed.all():
-            self.not_closed = _least(self.not_closed, ks[~is_closed])
-        k = 0
+        """One chunk: increasing numbers ks above all earlier ones, and the tests of each."""
+        if self.not_open is None and not is_open.all():
+            self.not_open = int(ks[is_open.argmin()])
+        if self.not_closed is None and not is_closed.all():
+            self.not_closed = int(ks[is_closed.argmin()])
         if undefined.any():
             self.all_defined = False
-            defined = ~undefined
-            ks, theta = ks[defined], np.broadcast_to(theta, defined.shape)[defined]
+            ks, theta = ks[~undefined], theta[~undefined]
             if ks.size == 0:
                 return
-            k = int(ks.argmin())
-        if self.first_defined is None or ks.flat[k] < self.first_defined[0]:
-            self.first_defined = (int(ks.flat[k]), float(theta.flat[k]))
+        if self.top[1] is None:  # the first defined theta opens the extremum
+            self.top = (float(theta[0]), int(ks[0]))
         top = float(np.fmax.reduce(theta))  # NaN only when every theta is
-        if top == top and (self.top is None or top >= self.top[0]):
-            first_top = (top, -int(ks[..., theta == top].min()))
-            self.top = first_top if self.top is None else max(self.top, first_top)
-
-    def extremal(self) -> tuple[float, int | None]:
-        """theta_sup and its block number; (0.0, None) when no theta is defined."""
-        if self.first_defined is None:
-            return 0.0, None
-        k, theta = self.first_defined
-        if theta != theta:
-            return theta, k
-        return self.top[0], -self.top[1]
-
-
-def _least(best, ks) -> int:
-    k = int(ks.min())
-    return k if best is None else min(best, k)
-
-
-def _below(best, lo: int) -> bool:
-    return best is not None and best <= lo
+        if top > self.top[0]:  # never true while the extremum is NaN
+            self.top = (top, int(ks[(theta == top).argmax()]))
 
 
 def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificate:
@@ -339,11 +308,12 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
     When every block is asked for, err is None and M is square and exactly
     symmetric, the block (p, q, i, j) is the mirror (a, c, b, d) of the block
     (i, j, p, q). Then only the blocks with row pair <= column pair are
-    swept, each testing its mirror's margin too (see _block_tests), and the
-    mirror's d2 and d3 are the block's d3 and d2. A mirror's number is never
-    below its own, and _Witnesses takes the least number, so the witnesses are
-    those of the full sweep. The padded sweep of certify_perturbed stays full:
-    its pads, too, sum in another order for the mirror.
+    swept: the two agree bit for bit on the open, closed, theta and
+    theta-defined tests, the margin included (its sum commutes, see
+    core2x2.Complex2x2.frob2), and the mirror's d2 and d3 are the block's d3
+    and d2; _Witnesses finds the witnesses of the full order among them. The
+    padded sweep of certify_perturbed stays full: its pad on bc is not
+    symmetric in b and c.
     """
     n, m = M.shape
     rows_i, rows_j = _pair_index(n, 1)
@@ -374,19 +344,18 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
             ri, rj = rows_i[rp] * m, rows_j[rp] * m
             p, q = cols_p[cp], cols_q[cp]
             is_open, is_closed, theta, undefined, *log_args, ratio4_lo, ratio4_hi = _block_tests(
-                re, im, sq, (ri + p, rj + p, ri + q, rj + q), tol, pad, mirror)
+                re, im, sq, (ri + p, rj + p, ri + q, rj + q), tol, pad)
             # log is monotone, so the sup of the logs is the log of the sup;
             # fmax/fmin and max() skip NaN as the scalar max() of logs does
             sups = [float(np.fmax.reduce(x)) for x in log_args]
             if mirror:
-                ks = np.stack((ks, cp * n_col_pairs + rp))
                 sups[1] = sups[2] = float(np.fmax(sups[1], sups[2]))
             found.add(ks, is_open, is_closed, theta, undefined)
             log_sups = [max(sup, x) for sup, x in zip(log_sups, sups)]
             ratio4_max = max(ratio4_max, float(np.fmax.reduce(ratio4_hi)))
             ratio4_min = min(ratio4_min, float(np.fmin.reduce(ratio4_lo)))
 
-    theta_sup, extremal = found.extremal()
+    theta_sup, extremal = found.top
     if found.not_open is None:
         classification, k = "strict", extremal
     elif found.not_closed is None:

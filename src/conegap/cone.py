@@ -110,8 +110,10 @@ def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
     abs(complex), and squares as core2x2 takes them, each hypot modulus times
     itself. Swapping the rows ([::-1]) negates ad - bc and Im(a conj(d) +
     b conj(c)) exactly, since fl(u - v) = -fl(v - u), so |ad - bc| and the
-    cross term serve both orders; the squared Frobenius norm sums in another
-    order in each row, so it and the rank tests are made per row. Raises only
+    cross term serve both orders. So do the squared Frobenius norm, the
+    margin, both rank tests and the first-column test: frob2's sum
+    (|a|^2 + |d|^2) + (|b|^2 + |c|^2) commutes under the row swap. Only
+    Re(a conj(b)) and the rank-one modulus are per row. Raises only
     OverflowError, as phi/Phi do: where a square is infinite (past |z| ~
     1.34e154), and else where |ad - bc| is.
     """
@@ -136,10 +138,10 @@ def _gauges(x: np.ndarray, y: np.ndarray, tol: float):
         # |a conj(d) + b conj(c)| + |ad - bc|, from a conj(d) over c conj(b) = conj(b conj(c))
         re_adc, im_adc = rr + ii, ir - ri
         ssum = np.hypot(re_adc[0] + re_adc[1], im_adc[0] - im_adc[1]) + dmod
-        f2 = ((sqp + sqq) + sqp[::-1]) + sqq[::-1]
+        f2 = (sqp[0] + sqq[1]) + (sqq[0] + sqp[1])
         s = tol * f2
         # rank one: the constant modulus |a/c|, or |b/d| when the first column carries no mass
-        first = sqp + sqp[::-1] > s
+        first = sqp[0] + sqp[1] > s
         num, den = np.where(first, mp, mq), np.where(first, mp[::-1], mq[::-1])
         one = np.where(den == 0.0, np.inf, num / den)
         rank2, rank1 = dmod > s, f2 > tol * tol

@@ -9,8 +9,10 @@ and Phi, and the rate functions delta1 and eta1.
 All strict comparisons use one tolerance, taken relative to the squared
 Frobenius norm of the matrix, so every predicate is scale-free. A squared
 modulus is abs(z) * abs(z), the hypot modulus squared by multiplication, and
-raises OverflowError where it is infinite (past |z| ~ 1.34e154); the array
-code in certify and cone squares the same way, so it matches bit for bit.
+raises OverflowError where it is infinite (past |z| ~ 1.34e154). The norm
+sums them as (|a|^2 + |d|^2) + (|b|^2 + |c|^2), the same bits under
+transposition and row or column swap since fl addition commutes; certify
+and cone square and sum the same way, so they match bit for bit.
 Degenerate subexpressions evaluate to +inf rather than raising; products of 0
 and inf never arise in the formulas below.
 """
@@ -78,8 +80,12 @@ class Complex2x2:
         return self.a * self.d - self.b * self.c
 
     def frob2(self) -> float:
-        """Squared Frobenius norm, the scale for all relative tolerances."""
-        return _square(abs(self.a)) + _square(abs(self.b)) + _square(abs(self.c)) + _square(abs(self.d))
+        """Squared Frobenius norm, the scale for all relative tolerances.
+
+        Summed as (|a|^2 + |d|^2) + (|b|^2 + |c|^2): fl addition commutes, so
+        the transpose and either swap give the same bits.
+        """
+        return (_square(abs(self.a)) + _square(abs(self.d))) + (_square(abs(self.b)) + _square(abs(self.c)))
 
     def transpose(self) -> "Complex2x2":
         return Complex2x2(self.a, self.c, self.b, self.d)

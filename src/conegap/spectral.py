@@ -68,6 +68,8 @@ STEP_FLOOR = 2.0 * np.finfo(float).eps
 # Powers of A that power_eigen may certify, each the square of the one before.
 POWERS = (2, 4, 8)
 
+ORACLE_MAX_N = 16  # the largest size dense_spectrum_oracle accepts
+
 
 def _product_error_scale(n: int) -> float:
     """gamma for |fl(XY) - XY| <= gamma |X| |Y| with complex n x n factors.
@@ -238,17 +240,17 @@ def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8, s
     return float(np.fmax.reduce(rates, initial=0.0))
 
 
-def dense_spectrum_oracle(A, max_n: int = 16) -> np.ndarray:
+def dense_spectrum_oracle(A) -> np.ndarray:
     """Full spectrum of a small matrix, sorted by decreasing modulus.
 
     Independent of the cone power iteration (dense QR eigensolver), intended
-    for tests and report verification only, hence the size cap.
+    for tests and report verification only, hence the size cap ORACLE_MAX_N.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError("oracle needs a square matrix")
-    if M.shape[0] > max_n:
-        raise ValueError(f"oracle is capped at {max_n} x {max_n}")
+    if M.shape[0] > ORACLE_MAX_N:
+        raise ValueError(f"oracle is capped at {ORACLE_MAX_N} x {ORACLE_MAX_N}")
     vals = np.linalg.eigvals(M)
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     return vals[order]

@@ -432,10 +432,11 @@ def _corner(a, b, c, diagonal):
 
 
 # The margin tol * frob2 of a block (a, b, c, d) sums the squares as
-# ((a + b) + c) + d and that of its mirror (a, c, b, d) as ((a + c) + b) + d.
-# In each family below the two round apart, and the quantity that the margin
-# decides sits in between at some t near the flip: (family, predicate, bracket,
-# tol, witness (i, j, p, q) where the block and its mirror disagree).
+# (a + d) + (b + c), the same floats for its mirror (a, c, b, d) since
+# addition commutes. Each family below walks the quantity that the margin
+# decides across it, at t near the flip; under the former order
+# ((a + b) + c) + d the block and its mirror rounded apart there: (family,
+# predicate, bracket, tol, witness (i, j, p, q) where the predicate fails).
 def _open_at(tol):
     return lambda T: in_gamma_open(T, tol)
 
@@ -452,14 +453,14 @@ A1, B1, C1 = 1.6284737507154365, 0.8947242026384399, 1.1205097860825588
 A2, B2, C2 = 0.37211168264273503, 1.0166764271937312, 0.9405289515067233
 A3, B3, X3 = 0.9248566552999128, 1.0341248829387262, 0.314718951157425
 MIRROR_BOUNDARIES = [
-    # Re(b conj d) against the margin: the mirror (1, 2; 0, 2), block 7, is
-    # the first non-open block, ahead of the later half block (1, 2; 1, 2)
-    (_corner(A1, B1, C1, (C1 / 2, B1 / 2)), _open_at(DEFAULT_TOL), 0.0, 1e-6, DEFAULT_TOL, (1, 2, 0, 2)),
-    # Re(b conj d) against minus the margin: the mirror is the first failing block
+    # Re(b conj d) against the margin: the half block (0, 2; 1, 2), block 5,
+    # is the first non-open block, ahead of its mirror (1, 2; 0, 2), block 7
+    (_corner(A1, B1, C1, (C1 / 2, B1 / 2)), _open_at(DEFAULT_TOL), 0.0, 1e-6, DEFAULT_TOL, (0, 2, 1, 2)),
+    # Re(b conj d) against minus the margin: the half block is the first failing block
     (lambda t, f=_corner(A2, B2, C2, (C2 / 2, B2 / 2)): f(-t), _closed_at(DEFAULT_TOL), 0.0, 1e-6,
-     DEFAULT_TOL, (1, 2, 0, 2)),
-    # |det| against the margin over a negative denominator: only the mirror
-    # leaves theta undefined
+     DEFAULT_TOL, (0, 2, 1, 2)),
+    # |det| against the margin over a negative denominator: the block and its
+    # mirror leave theta undefined together
     (_corner(A3, -X3, B3, (1.0, 1.0)), _defined_at(0.25), 0.1, X3 * B3 / A3, 0.25, None),
 ]
 
@@ -467,18 +468,20 @@ MIRROR_BOUNDARIES = [
 @pytest.mark.parametrize("scale", [1.0, AWKWARD_SCALE])
 @pytest.mark.parametrize("case", range(len(MIRROR_BOUNDARIES)))
 def test_mirror_margins_decide_near_boundary_blocks(case, scale, chunk):
-    family, pred, lo, hi, tol, mirror_witness = MIRROR_BOUNDARIES[case]
+    family, pred, lo, hi, tol, witness = MIRROR_BOUNDARIES[case]
     t0 = _flip_point(lambda t: _corner_blocks(family(t))[0], pred, lo, hi)
-    disagree = set()
+    seen = set()
     for t in _ulps_around(t0, 6):
-        M = family(t)
+        M = scale * family(t)
         block, mirror = _corner_blocks(M)
-        cert = assert_bit_identical(scale * M, tol=tol)
-        if pred(block) != pred(mirror):
+        cert = assert_bit_identical(M, tol=tol)
+        assert pred(block) == pred(mirror)
+        seen.add(pred(block))
+        if not pred(block):
             w = cert.witness
-            disagree.add((w.i, w.j, w.p, w.q) if mirror_witness else cert.theta)
-    if scale == 1.0:  # the family was chosen so the margins round apart unscaled
-        assert disagree == ({mirror_witness} if mirror_witness else {None})
+            assert ((w.i, w.j, w.p, w.q) if witness else cert.theta) == witness
+    if scale == 1.0:  # the walk straddles the boundary
+        assert seen == {True, False}
 
 
 def test_symmetric_inputs_sweep_half_the_blocks(monkeypatch):
@@ -530,19 +533,26 @@ def test_symmetric_sweep_memory_stays_small():
 
 
 def test_witnesses_are_the_least_numbers_over_chunks():
-    # a half sweep meets block 5 with its mirror 19, then block 14 with its
-    # mirror 20; block 14 comes later but precedes mirror 19 in full order
+    # chunks come in increasing block number, so the first witness found stays
+    yes, no = np.ones(2, dtype=bool), np.zeros(2, dtype=bool)
     found = certify._Witnesses()
-    ones = np.ones(1, dtype=bool)
-    found.add(np.array([[5], [19]]), np.array([[True], [False]]), np.array([[True], [False]]),
-              np.array([0.5]), np.array([[False], [False]]))
-    assert (found.not_open, found.not_closed) == (19, 19)
-    found.add(np.array([[14], [20]]), np.array([[False], [True]]), np.array([[False], [True]]),
-              np.array([0.75]), np.array([[False], [True]]))
-    assert (found.not_open, found.not_closed) == (14, 14)
-    assert found.extremal() == (0.75, 14) and not found.all_defined
-    found.add(np.array([3]), ones, ones, np.array([0.75]), ones)  # undefined: no theta
-    found.add(np.array([9]), ones, ones, np.array([0.75]), ~ones)
-    assert found.extremal() == (0.75, 9)
-    found.add(np.array([2]), ones, ones, np.array([math.nan]), ~ones)
-    assert math.isnan(found.extremal()[0]) and found.extremal()[1] == 2  # NaN first: it stays
+    found.add(np.array([0, 1]), yes, yes, np.array([0.5, 0.5]), yes)  # undefined: skipped
+    assert found.top == (0.0, None) and not found.all_defined
+    found.add(np.array([2, 3]), yes, yes, np.array([0.5, 0.25]), no)
+    assert (found.not_open, found.not_closed) == (None, None)
+    assert found.top == (0.5, 2)
+    found.add(np.array([5, 6]), np.array([True, False]), yes, np.array([0.25, 0.5]), no)
+    assert (found.not_open, found.not_closed) == (6, None)
+    assert found.top == (0.5, 2)  # a later equal theta does not replace it
+    found.add(np.array([8, 9]), no, np.array([True, False]), np.array([0.25, 0.75]), no)
+    assert (found.not_open, found.not_closed) == (6, 9)
+    assert found.top == (0.75, 9)  # a strictly larger one does
+    found.add(np.array([10, 11]), no, no, np.array([0.875, 0.875]), np.array([True, False]))
+    assert (found.not_open, found.not_closed) == (6, 9)
+    assert found.top == (0.875, 11)  # the defined one of the chunk
+
+    first_nan = certify._Witnesses()
+    first_nan.add(np.array([4, 7]), yes, yes, np.array([math.nan, 0.5]), no)
+    first_nan.add(np.array([9]), yes[:1], yes[:1], np.array([2.0]), no[:1])
+    theta, k = first_nan.top
+    assert math.isnan(theta) and k == 4 and first_nan.all_defined  # NaN first: it stays

@@ -21,6 +21,7 @@ from conegap.core2x2 import (
     theta2,
 )
 from tests.reference_mobius import INFINITY, RiemannPoint, as_point, mobius_apply, mobius_disk
+from tests.test_certify_sweep import AWKWARD_SCALE, MIRROR_BOUNDARIES, _corner_blocks, _flip_point, _ulps_around
 
 LOG4 = math.log(4.0)
 
@@ -252,6 +253,31 @@ def test_transpose_relations(rng):
             dM, dT = deltas(M), deltas(T)
             assert dM.d1 == dT.d1 and dM.d4 == dT.d4
             assert dM.d2 == dT.d3 and dM.d3 == dT.d2
+
+
+@pytest.mark.parametrize("scale", [1.0, AWKWARD_SCALE])
+def test_frob2_is_bitwise_invariant_under_transpose_and_swaps(rng, scale):
+    for _ in range(500):
+        a, b, c, d = (scale * complex(*rng.standard_normal(2)) for _ in range(4))
+        f2 = Complex2x2(a, b, c, d).frob2()
+        assert Complex2x2(a, c, b, d).frob2() == f2  # transpose
+        assert Complex2x2(c, d, a, b).frob2() == f2  # row swap
+        assert Complex2x2(b, a, d, c).frob2() == f2  # column swap
+
+
+@pytest.mark.parametrize("scale", [1.0, AWKWARD_SCALE])
+@pytest.mark.parametrize("case", range(len(MIRROR_BOUNDARIES)))
+def test_margin_tests_agree_with_transpose_near_boundaries(case, scale):
+    family, pred, lo, hi, tol, _ = MIRROR_BOUNDARIES[case]
+    t0 = _flip_point(lambda t: _corner_blocks(family(t))[0], pred, lo, hi)
+    for t in _ulps_around(t0, 6):
+        T = _corner_blocks(scale * family(t))[0]
+        TT = T.transpose()
+        assert in_gamma_open(T, tol) == in_gamma_open(TT, tol)
+        assert in_gamma_closed(T, tol) == in_gamma_closed(TT, tol)
+        # theta is defined, or the block is rank-degenerate with theta 0
+        defined = [theta2(M) is not None or abs(M.det) <= tol * M.frob2() for M in (T, TT)]
+        assert defined[0] == defined[1]
 
 
 def test_product_identity(rng):
