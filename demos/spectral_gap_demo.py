@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from conegap import certify_matrix, deflated_radius, dense_spectrum_oracle, power_eigen
+from conegap import certify_matrix, dense_spectrum_oracle, gap_pipeline
 
 
 def main() -> None:
@@ -14,13 +14,13 @@ def main() -> None:
     print(f"classification {cert.classification}, theta {cert.theta:.6f}")
     print(f"certified rate eta_refined {cert.eta_refined:.6f}")
 
-    triple = power_eigen(A, cert, tol=1e-10)
+    res = gap_pipeline(A, cert, tol=1e-10)
+    triple = res.triple
     print(f"lambda_1 {triple.lam:.12f}")
     print(f"iterations {triple.iterations}, residual {triple.residual:.3e}")
     print(f"a-posteriori metric error {triple.metric_error:.3e}")
 
-    r = deflated_radius(A, triple)
-    eta_sp = r / abs(triple.lam)
+    eta_sp = res.r_deflated / abs(triple.lam)
     print(f"observed eta_sp {eta_sp:.6f} <= certified {cert.eta_refined:.6f}")
 
     spectrum = dense_spectrum_oracle(A)

@@ -49,8 +49,8 @@ from .fileio import (
     serialize_matrix,
     serialize_vectors,
 )
-from .kernel import KernelGrid, KernelResult, kernel_certify, kernel_theta, nystrom_matrix
-from .spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, power_eigen
+from .kernel import KernelGrid, kernel_certify, kernel_theta, nystrom_matrix
+from .spectral import EigenTriple, GapResult, deflated_radius, dense_spectrum_oracle, gap_pipeline, power_eigen
 from .variational import (
     VariationalBounds,
     basis_lower_bound,
@@ -93,6 +93,8 @@ __all__ = [
     "EigenTriple",
     "power_eigen",
     "deflated_radius",
+    "GapResult",
+    "gap_pipeline",
     "dense_spectrum_oracle",
     "VariationalBounds",
     "bounds_at",
@@ -100,7 +102,6 @@ __all__ = [
     "ones_lower_bound",
     "refine_bounds",
     "KernelGrid",
-    "KernelResult",
     "kernel_theta",
     "nystrom_matrix",
     "kernel_certify",

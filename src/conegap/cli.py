@@ -11,7 +11,8 @@ Commands:
                                       emit a sampled kernel grid file
 
 Exit codes: 0 certified/computed, 1 certification failed (witness in the
-report), 2 input or format error, 3 numerical non-convergence.
+report), 2 input or format error, 3 numerical non-convergence or a refuted
+gap. gap and kernel only serialize the result of spectral.gap_pipeline.
 
 The report is canonical JSON on stdout; --report writes the same bytes to a
 file. Identical inputs and flags reproduce the report byte for byte, except
@@ -27,7 +28,6 @@ import numpy as np
 
 from .certify import ContractionCertificate, certify_matrix, product_gap_bound
 from .cone import distance
-from .core2x2 import eta1
 from .fileio import (
     canonical_json,
     complex_pair,
@@ -37,7 +37,7 @@ from .fileio import (
     parse_vectors,
 )
 from .kernel import KernelGrid, kernel_certify, kernel_theta
-from .spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, power_eigen
+from .spectral import GapResult, dense_spectrum_oracle, gap_pipeline
 from .variational import VariationalBounds, basis_lower_bound, bounds_at, refine_bounds
 
 __all__ = ["main", "entry"]
@@ -79,8 +79,18 @@ def _cert_payload(cert: ContractionCertificate) -> dict:
     }
 
 
-def _eigen_payload(t: EigenTriple) -> dict:
-    return {
+def _matrix_report(command: str, path: str, M) -> tuple[ContractionCertificate, dict]:
+    """Certify the matrix M parsed from path; start the report that certify, gap and bounds share."""
+    cert = certify_matrix(M)
+    return cert, {"command": command, "input": _input_entry(path), "certificate": _cert_payload(cert)}
+
+
+def _add_gap_sections(report: dict, res: GapResult, bound_key: str, bound: float) -> int:
+    """Add the eigen and deflation sections of a gap_pipeline result; return the exit code."""
+    t = res.triple
+    if t is None:
+        return 1
+    report["eigen"] = {
         "lam": complex_pair(t.lam),
         "h": [complex_pair(z) for z in t.h],
         "nu": [complex_pair(z) for z in t.nu],
@@ -89,6 +99,15 @@ def _eigen_payload(t: EigenTriple) -> dict:
         "metric_error": t.metric_error,
         "converged": t.converged,
     }
+    if res.r_deflated is None:
+        print("power iteration did not converge", file=sys.stderr)
+        return 3
+    report["deflation"] = {
+        "r_deflated": res.r_deflated,
+        "eta_sp_observed": res.r_deflated / abs(t.lam),
+        bound_key: bound,
+    }
+    return 0
 
 
 def _bounds_payload(b: VariationalBounds, mode: str) -> dict:
@@ -102,59 +121,30 @@ def _bounds_payload(b: VariationalBounds, mode: str) -> dict:
 
 
 def _cmd_certify(args) -> tuple[int, dict]:
-    M = parse_matrix(args.matrix)
-    cert = certify_matrix(M)
-    report = {
-        "command": "certify",
-        "input": _input_entry(args.matrix),
-        "certificate": _cert_payload(cert),
-    }
+    cert, report = _matrix_report("certify", args.matrix, parse_matrix(args.matrix))
     return (0 if cert.strict else 1), report
 
 
 def _cmd_gap(args) -> tuple[int, dict]:
     M = parse_matrix(args.matrix)
-    cert = certify_matrix(M)
-    report = {
-        "command": "gap",
-        "input": _input_entry(args.matrix),
-        "certificate": _cert_payload(cert),
-    }
-    if not cert.strict:
-        return 1, report
-    triple = power_eigen(M, cert, tol=args.tol, max_iter=args.max_iter)
-    report["eigen"] = _eigen_payload(triple)
-    if not triple.converged:
-        print(
-            f"power iteration did not converge within {args.max_iter} iterations",
-            file=sys.stderr,
-        )
-        return 3, report
-    r = deflated_radius(M, triple, iters=args.deflate_iters, starts=args.starts, seed=args.seed)
-    report["deflation"] = {
-        "r_deflated": r,
-        "eta_sp_observed": r / abs(triple.lam),
-        "eta_refined_bound": cert.eta_refined,
-    }
-    if args.verify:
-        spectrum = dense_spectrum_oracle(M)
+    # the oracle's size cap fails fast, before the sweep and both orbits
+    spectrum = dense_spectrum_oracle(M) if args.verify else None
+    cert, report = _matrix_report("gap", args.matrix, M)
+    res = gap_pipeline(M, cert, args.tol, args.max_iter, args.deflate_iters, args.starts, args.seed)
+    code = _add_gap_sections(report, res, "eta_refined_bound", cert.eta_refined)
+    if code == 0 and spectrum is not None:
         second = abs(spectrum[1]) / abs(spectrum[0]) if spectrum.size > 1 else None
         report["oracle"] = {
             "eigenvalues": [complex_pair(z) for z in spectrum],
-            "lambda_abs_error": float(abs(spectrum[0] - triple.lam)),
+            "lambda_abs_error": float(abs(spectrum[0] - res.triple.lam)),
             "second_ratio": second,
         }
-    return 0, report
+    return code, report
 
 
 def _cmd_bounds(args) -> tuple[int, dict]:
     M = parse_matrix(args.matrix)
-    cert = certify_matrix(M)
-    report = {
-        "command": "bounds",
-        "input": _input_entry(args.matrix),
-        "certificate": _cert_payload(cert),
-    }
+    cert, report = _matrix_report("bounds", args.matrix, M)
     if args.basis:
         report["bounds"] = {"mode": "basis", "lower": basis_lower_bound(M)}
     elif args.vector is not None:
@@ -207,18 +197,7 @@ def _cmd_kernel(args) -> tuple[int, dict]:
         return (0 if cert.classification == "strict" else 1), report
     res = kernel_certify(grid, seed=args.seed)
     report["certificate"] = _cert_payload(res.certificate)
-    if res.triple is None:
-        return 1, report
-    report["eigen"] = _eigen_payload(res.triple)
-    if res.r_deflated is None:
-        print("power iteration did not converge", file=sys.stderr)
-        return 3, report
-    report["deflation"] = {
-        "r_deflated": res.r_deflated,
-        "eta_sp_observed": res.r_deflated / abs(res.triple.lam),
-        "eta1_bound": eta1(res.certificate.theta),
-    }
-    return 0, report
+    return _add_gap_sections(report, res, "eta1_bound", res.certificate.eta_simple), report
 
 
 def _cmd_product(args) -> tuple[int, dict]:

@@ -7,21 +7,21 @@ the quadrature weights. The Nystrom matrix L[j][i] = k(x_i, x_j) w_i then
 discretizes the operator, and its observed spectral gap is bounded by
 eta1(theta) of the weight-free certificate, which is also the certificate
 of the Nystrom matrix: the block test is invariant under positive diagonal
-scaling and under transposition. kernel_certify is the one pipeline from a
-grid to a checked gap; it sweeps the value table once.
+scaling and under transposition. With power-of-two weights the scaling is
+exact and the two certificates are equal bit for bit, up to the swap of
+delta_sup's d2 and d3 that transposition brings. kernel_certify runs
+spectral.gap_pipeline on the Nystrom matrix under the certificate of the
+value table, which it sweeps once.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import ContractionCertificate, certify_matrix
-from .core2x2 import DEFAULT_TOL, eta1
-from .spectral import EigenTriple, deflated_radius, power_eigen
+from .core2x2 import DEFAULT_TOL
+from .spectral import GapResult, gap_pipeline
 
 __all__ = [
     "KernelGrid",
-    "KernelResult",
     "kernel_theta",
     "nystrom_matrix",
     "kernel_certify",
@@ -62,22 +62,6 @@ class KernelGrid:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    """Outcome of kernel_certify, filled up to the first stage that stopped it.
-
-    certificate is the weight-free certificate of the value table, which is
-    also that of the Nystrom matrix. triple is the Nystrom matrix's
-    eigen-triple, None when the certificate is not strict. r_deflated is the
-    deflated spectral radius of the Nystrom matrix, None when triple is None
-    or did not converge.
-    """
-
-    certificate: ContractionCertificate
-    triple: EigenTriple | None = None
-    r_deflated: float | None = None
-
-
 def kernel_theta(grid: KernelGrid, tol: float = DEFAULT_TOL, sample: int | None = None,
                  rng=None) -> ContractionCertificate:
     """Weight-free quadruple certificate of the sampled kernel.
@@ -95,39 +79,15 @@ def nystrom_matrix(grid: KernelGrid) -> np.ndarray:
     return grid.values.T * grid.weights
 
 
-def kernel_certify(grid: KernelGrid, tol: float = DEFAULT_TOL, power_tol: float = 1e-12,
-                   max_iter: int = 1000, deflate_iters: int = 200, starts: int = 8,
-                   seed: int = 0) -> KernelResult:
-    """The kernel gap pipeline: certificate, Nystrom eigen-triple, deflated gap check.
+def kernel_certify(grid: KernelGrid, power_tol: float = 1e-12, max_iter: int = 1000,
+                   seed: int = 0) -> GapResult:
+    """The kernel gap pipeline: gap_pipeline on the Nystrom matrix L = V^T diag(w).
 
-    The block test is invariant under positive diagonal scaling and under
-    transposition, so the weight-free certificate of the value table V is
-    also the certificate of the Nystrom matrix L = V^T diag(w), and it is
-    the one power_eigen runs under; L is never swept. The certificate speaks
-    of the exact product, while the orbit runs on fl(V^T diag(w)), one
-    rounding per entry away from it. A sweep of fl(L) would add no rigour:
-    its own block arithmetic leaves rounding of the same order uncounted. With
-    power-of-two weights the scaling is exact and the two certificates are
-    equal bit for bit, up to the swap of delta_sup's d2 and d3 that
-    transposition brings.
-
-    Stages run until one stops the pipeline, and the result is filled up to
-    there: triple is None when the certificate is not strict, and r_deflated
-    is None when either power orbit did not converge (no deflation runs
-    then). An observed gap r_deflated / |lam| above eta1(theta) would refute
-    the certificate numerically and raises RuntimeError.
+    It runs under the weight-free certificate of the value table V, which is
+    also L's, so L is never swept. That certificate speaks of the exact
+    product, while the orbit runs on fl(V^T diag(w)), one rounding per entry
+    away from it. A sweep of fl(L) would add no rigour: its own block
+    arithmetic leaves rounding of the same order uncounted. power_tol and
+    max_iter are power_eigen's, and seed seeds the deflation starts.
     """
-    cert = kernel_theta(grid, tol)
-    if not cert.strict:
-        return KernelResult(cert)
-    L = nystrom_matrix(grid)
-    triple = power_eigen(L, cert, power_tol, max_iter)
-    if not triple.converged:
-        return KernelResult(cert, triple)
-    r = deflated_radius(L, triple, deflate_iters, starts, seed)
-    eta_obs = r / abs(triple.lam)
-    if eta_obs > eta1(cert.theta) + 1e-9:
-        raise RuntimeError(
-            f"observed gap {eta_obs} exceeds the certified bound {eta1(cert.theta)}"
-        )
-    return KernelResult(cert, triple, r)
+    return gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), power_tol, max_iter, seed=seed)

@@ -7,7 +7,8 @@ metric error bound, replacing any unknown constants. Where the matrix's own
 rate puts that rule below the floating-point floor of the step, a certified
 power of the matrix supplies the rate instead. The deflated operator
 A - lambda h nu^T exposes the second modulus, and a small dense oracle gives
-an independent full spectrum for cross-checks.
+an independent full spectrum for cross-checks. gap_pipeline runs these
+stages in order, for a matrix and for a kernel's Nystrom matrix alike.
 """
 
 import math
@@ -23,6 +24,8 @@ __all__ = [
     "EigenTriple",
     "power_eigen",
     "deflated_radius",
+    "GapResult",
+    "gap_pipeline",
     "dense_spectrum_oracle",
 ]
 
@@ -238,6 +241,42 @@ def deflated_radius(A, triple: EigenTriple, iters: int = 200, starts: int = 8, s
     rates = np.exp(np.log(live[iters // 2:]).mean(axis=0))
     # fmax skips NaN rates, and the initial 0 is the estimate with no start left
     return float(np.fmax.reduce(rates, initial=0.0))
+
+
+@dataclass(frozen=True)
+class GapResult:
+    """Outcome of gap_pipeline, filled up to the first stage that stopped it.
+
+    certificate is the certificate the pipeline ran under. triple is the
+    eigen-triple, None when the certificate is not strict. r_deflated is the
+    deflated spectral radius, None when triple is None or did not converge.
+    """
+
+    certificate: ContractionCertificate
+    triple: EigenTriple | None = None
+    r_deflated: float | None = None
+
+
+def gap_pipeline(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: int = 1000,
+                 deflate_iters: int = 200, starts: int = 8, seed: int = 0) -> GapResult:
+    """The gap pipeline: eigen-triple under a certificate, then the deflated gap check.
+
+    Stages run until one stops the pipeline: a certificate that is not strict
+    stops it before power_eigen, and a triple that did not converge stops it
+    before deflated_radius. An observed gap r_deflated / |lam| above the
+    certified eta_simple = eta1(theta) would refute the certificate
+    numerically and raises RuntimeError.
+    """
+    if not cert.strict:
+        return GapResult(cert)
+    triple = power_eigen(A, cert, tol, max_iter)
+    if not triple.converged:
+        return GapResult(cert, triple)
+    r = deflated_radius(A, triple, deflate_iters, starts, seed)
+    eta_obs = r / abs(triple.lam)
+    if eta_obs > cert.eta_simple + 1e-9:
+        raise RuntimeError(f"observed gap {eta_obs} exceeds the certified bound {cert.eta_simple}")
+    return GapResult(cert, triple, r)
 
 
 def dense_spectrum_oracle(A) -> np.ndarray:

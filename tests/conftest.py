@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conegap import certify_matrix
+from conegap import EigenTriple, certify_matrix
 
 
 def random_certified_matrix(rng, n=None):
@@ -15,6 +17,12 @@ def random_certified_matrix(rng, n=None):
         cert = certify_matrix(A)
         if cert.strict:
             return A, cert
+
+
+def assert_same_triple(s, t):
+    """Every field of two eigen-triples equal, bit for bit."""
+    for f in dataclasses.fields(EigenTriple):
+        np.testing.assert_array_equal(getattr(s, f.name), getattr(t, f.name), err_msg=f.name)
 
 
 @pytest.fixture(scope="session")

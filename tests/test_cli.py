@@ -255,6 +255,36 @@ def test_verify_needs_small_matrix(files, capsys):
     capsys.readouterr()
 
 
+def test_verify_checks_the_oracle_cap_before_the_sweep(files, capsys, monkeypatch):
+    matrix, _, _, _ = files
+    calls = []
+    monkeypatch.setattr("conegap.cli.certify_matrix", lambda *args, **kwargs: calls.append(args))
+    strict = matrix("strict64.json", np.full((64, 64), 1.0) + 0.1 * np.eye(64))
+    fail = matrix("fail17.json", np.eye(17) - 0.5)  # not strict: exit 1 without --verify
+    for path in (strict, fail):
+        assert main(["gap", path, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "conegap: oracle is capped at 16 x 16\n"
+    assert calls == []
+
+
+def test_gap_and_kernel_refute_an_observed_gap_above_eta1(files, capsys, monkeypatch):
+    matrix, _, kernel, _ = files
+    # a deflated radius of 10 |lam| is an observed gap of 10, far above eta1(theta) < 1
+    monkeypatch.setattr("conegap.spectral.deflated_radius", lambda A, t, *args: 10.0 * abs(t.lam))
+    x = np.linspace(0.0, 1.0, 6)
+    grid = KernelGrid(x, np.full(6, 1 / 6), np.exp(-((x[:, None] - x[None, :]) ** 2)))
+    for command, path in (("gap", matrix("sym.json", SYM)), ("kernel", kernel("g6.json", grid))):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("conegap: observed gap ")
+        assert " exceeds the certified bound " in lines[0]
+
+
 def test_kernel_gaussian_24_converges(files, capsys):
     # A's own threshold tol (1 - eta_refined) is 2.5e-16 here, at the
     # floating-point floor of the step; certified powers of A make it reachable
@@ -282,7 +312,7 @@ def test_gap_non_convergence_exits_3(files, capsys):
         rep = json.loads(captured.out)
         assert rep["eigen"]["converged"] is False
         assert "deflation" not in rep
-        assert "did not converge" in captured.err
+        assert captured.err == "power iteration did not converge\n"
 
 
 def test_console_script(files):

@@ -7,8 +7,11 @@ import pytest
 from conegap.certify import certify_matrix
 from conegap.cone import distance
 from conegap.core2x2 import Complex2x2, eta1, in_gamma_open, theta2
+from conegap.cli import main
+from conegap.fileio import parse_kernel
 from conegap.kernel import KernelGrid, kernel_certify, kernel_theta, nystrom_matrix
-from conegap.spectral import deflated_radius, dense_spectrum_oracle, power_eigen
+from conegap.spectral import deflated_radius, dense_spectrum_oracle, gap_pipeline, power_eigen
+from tests.conftest import assert_same_triple
 
 
 def gauss_grid(n, kernel, lo=-1.0, hi=1.0):
@@ -231,6 +234,19 @@ def test_kernel_certify_sweeps_once(monkeypatch):
     np.testing.assert_array_equal(res.triple.nu, t.nu)
     assert (res.triple.iterations, res.triple.residual, res.triple.metric_error, res.triple.converged) == (
         t.iterations, t.residual, t.metric_error, t.converged)
+
+
+@pytest.mark.parametrize("preset", ["gaussian", "affine", "gaussian-twist"])
+def test_kernel_certify_is_gap_pipeline_on_the_nystrom_matrix(preset, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    assert main(["--report", str(path), "grid", "--preset", preset, "--n", "12"]) == 0
+    capsys.readouterr()
+    grid = parse_kernel(str(path))
+    res = kernel_certify(grid)
+    want = gap_pipeline(nystrom_matrix(grid), kernel_theta(grid))
+    assert res.certificate == want.certificate
+    assert res.r_deflated is not None and res.r_deflated == want.r_deflated
+    assert_same_triple(res.triple, want.triple)
 
 
 def test_non_converged_orbit_skips_deflation():

@@ -12,8 +12,8 @@ from conegap.cli import GRID_PRESETS, main
 from conegap.cone import distance, member_closed, random_member
 from conegap.fileio import parse_kernel
 from conegap.kernel import nystrom_matrix
-from conegap.spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, power_eigen
-from tests.conftest import random_certified_matrix
+from conegap.spectral import EigenTriple, deflated_radius, dense_spectrum_oracle, gap_pipeline, power_eigen
+from tests.conftest import assert_same_triple, random_certified_matrix
 from tests.reference_spectral import reference_deflated_radius
 
 SYM = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -430,3 +430,43 @@ def test_gap_bound_against_oracle(rng):
         A, cert = random_certified_matrix(rng)
         ev = dense_spectrum_oracle(A)
         assert abs(ev[1]) / abs(ev[0]) <= cert.eta_refined <= cert.eta_simple
+
+
+# strict, but every certified rate rounds to 1, so neither orbit can stop
+HARD = np.array([[1.0, 0.001], [0.002, 1.0]])
+
+
+def test_gap_pipeline_stops_at_each_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "deflated_radius", lambda *args: calls.append(args))
+    cert = certify_matrix(np.eye(2))
+    res = gap_pipeline(np.eye(2), cert)
+    assert res.certificate is cert and not cert.strict
+    assert res.triple is None and res.r_deflated is None
+
+    cert = certify_matrix(HARD)
+    res = gap_pipeline(HARD, cert)
+    assert cert.strict and res.certificate is cert
+    assert not res.triple.converged and res.triple.iterations == 1000
+    assert res.r_deflated is None
+    assert calls == []
+
+
+def test_gap_pipeline_is_power_eigen_then_deflated_radius(rng):
+    for _ in range(4):
+        A, cert = random_certified_matrix(rng)
+        for args in ((), (1e-9, 500, 50, 3, 7)):
+            res = gap_pipeline(A, cert, *args)
+            tol, max_iter, deflate_iters, starts, seed = args or (1e-12, 1000, 200, 8, 0)
+            t = power_eigen(A, cert, tol, max_iter)
+            assert t.converged
+            assert_same_triple(res.triple, t)
+            assert res.r_deflated == deflated_radius(A, t, deflate_iters, starts, seed)
+            assert res.certificate is cert
+
+
+def test_gap_pipeline_refutes_a_gap_above_eta1(monkeypatch):
+    # a deflated radius of 10 |lam| is an observed gap of 10, far above eta1(theta) < 1
+    monkeypatch.setattr(spectral, "deflated_radius", lambda A, t, *args: 10.0 * abs(t.lam))
+    with pytest.raises(RuntimeError, match="observed gap .* exceeds the certified bound"):
+        gap_pipeline(SYM, certify_matrix(SYM))
