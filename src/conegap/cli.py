@@ -3,7 +3,7 @@
 Commands:
   certify <matrix>                    classify and rate a matrix
   gap <matrix> [--verify]             certificate + eigen-triple + deflated gap
-  bounds <matrix> [--vector F | --basis | --ones] [--refine K]
+  bounds <matrix> [--vector F | --basis] [--refine K]
   metric <vectors> <i> <j>            projective distance between stored vectors
   kernel <grid> [--sample N]          kernel certificate + discretized pipeline
   product <matrix>...                 per-factor certificates + product gap bound
@@ -37,7 +37,7 @@ from .fileio import (
     parse_vectors,
 )
 from .kernel import KernelGrid, kernel_certify, kernel_theta
-from .spectral import GapResult, dense_spectrum_oracle, gap_pipeline
+from .spectral import ORACLE_MAX_N, GapResult, dense_spectrum_oracle, gap_pipeline
 from .variational import VariationalBounds, basis_lower_bound, bounds_at, refine_bounds
 
 __all__ = ["main", "entry"]
@@ -130,7 +130,7 @@ def _cmd_gap(args) -> tuple[int, dict]:
     # the oracle's size cap fails fast, before the sweep and both orbits
     spectrum = dense_spectrum_oracle(M) if args.verify else None
     cert, report = _matrix_report("gap", args.matrix, M)
-    res = gap_pipeline(M, cert, args.tol, args.max_iter, args.deflate_iters, args.starts, args.seed)
+    res = gap_pipeline(M, cert, args.tol, args.max_iter, args.seed)
     code = _add_gap_sections(report, res, "eta_refined_bound", cert.eta_refined)
     if code == 0 and spectrum is not None:
         second = abs(spectrum[1]) / abs(spectrum[0]) if spectrum.size > 1 else None
@@ -144,6 +144,9 @@ def _cmd_gap(args) -> tuple[int, dict]:
 
 def _cmd_bounds(args) -> tuple[int, dict]:
     M = parse_matrix(args.matrix)
+    # checked before the certificate decides whether refinement runs at all
+    if args.refine is not None and args.refine < 0:
+        raise ValueError("iteration count must be nonnegative")
     cert, report = _matrix_report("bounds", args.matrix, M)
     if args.basis:
         report["bounds"] = {"mode": "basis", "lower": basis_lower_bound(M)}
@@ -267,11 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="certificate plus eigen-triple and deflated spectral gap")
     p.add_argument("matrix")
-    p.add_argument("--verify", action="store_true", help="compare against a dense eigensolve (n <= 16)")
+    p.add_argument("--verify", action="store_true",
+                   help=f"compare against a dense eigensolve (n <= {ORACLE_MAX_N})")
     p.add_argument("--tol", type=float, default=1e-12, help="power iteration stop tolerance")
     p.add_argument("--max-iter", type=int, default=1000, help="power iteration cap")
-    p.add_argument("--deflate-iters", type=int, default=200, help="deflated power steps per start")
-    p.add_argument("--starts", type=int, default=8, help="random starts for the deflated radius")
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("bounds", help="variational eigenvalue bounds")
@@ -279,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--vector", metavar="FILE", help="bounds at the single vector stored in FILE")
     g.add_argument("--basis", action="store_true", help="basis-vector lower bound")
-    g.add_argument("--ones", action="store_true", help="bounds at the all-ones vector (default)")
     p.add_argument("--refine", type=int, metavar="K", help="power-orbit refinement for K steps")
     p.set_defaults(func=_cmd_bounds)
 

@@ -252,7 +252,10 @@ def random_member(rng: np.random.Generator, n: int, interior: bool = False) -> n
     Draws orthant parts u1, u2 and a uniform phase lam, then assembles
     (lam / 2)((1 + i) u1 + (1 - i) u2), which ranges over the whole cone.
     With interior=True the parts stay away from 0 so the member is strict.
+    n must be at least 1: the empty vector has no nonzero member to draw.
     """
+    if n < 1:
+        raise ValueError(f"a random member needs n >= 1, got {n}")
     lo = 0.1 if interior else 0.0
     while True:
         u1 = rng.uniform(lo, 1.0, n)

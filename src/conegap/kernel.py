@@ -79,15 +79,14 @@ def nystrom_matrix(grid: KernelGrid) -> np.ndarray:
     return grid.values.T * grid.weights
 
 
-def kernel_certify(grid: KernelGrid, power_tol: float = 1e-12, max_iter: int = 1000,
-                   seed: int = 0) -> GapResult:
+def kernel_certify(grid: KernelGrid, seed: int = 0) -> GapResult:
     """The kernel gap pipeline: gap_pipeline on the Nystrom matrix L = V^T diag(w).
 
     It runs under the weight-free certificate of the value table V, which is
     also L's, so L is never swept. That certificate speaks of the exact
     product, while the orbit runs on fl(V^T diag(w)), one rounding per entry
     away from it. A sweep of fl(L) would add no rigour: its own block
-    arithmetic leaves rounding of the same order uncounted. power_tol and
-    max_iter are power_eigen's, and seed seeds the deflation starts.
+    arithmetic leaves rounding of the same order uncounted. power_eigen runs
+    with its default tol and max_iter, and seed seeds the deflation starts.
     """
-    return gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), power_tol, max_iter, seed=seed)
+    return gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), seed=seed)

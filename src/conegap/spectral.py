@@ -258,21 +258,22 @@ class GapResult:
 
 
 def gap_pipeline(A, cert: ContractionCertificate, tol: float = 1e-12, max_iter: int = 1000,
-                 deflate_iters: int = 200, starts: int = 8, seed: int = 0) -> GapResult:
+                 seed: int = 0) -> GapResult:
     """The gap pipeline: eigen-triple under a certificate, then the deflated gap check.
 
     Stages run until one stops the pipeline: a certificate that is not strict
     stops it before power_eigen, and a triple that did not converge stops it
-    before deflated_radius. An observed gap r_deflated / |lam| above the
-    certified eta_simple = eta1(theta) would refute the certificate
-    numerically and raises RuntimeError.
+    before deflated_radius, which runs its default starts and steps from seed.
+    An observed gap r_deflated / |lam| above the certified eta_simple =
+    eta1(theta) would refute the certificate numerically and raises
+    RuntimeError.
     """
     if not cert.strict:
         return GapResult(cert)
     triple = power_eigen(A, cert, tol, max_iter)
     if not triple.converged:
         return GapResult(cert, triple)
-    r = deflated_radius(A, triple, deflate_iters, starts, seed)
+    r = deflated_radius(A, triple, seed=seed)
     eta_obs = r / abs(triple.lam)
     if eta_obs > cert.eta_simple + 1e-9:
         raise RuntimeError(f"observed gap {eta_obs} exceeds the certified bound {cert.eta_simple}")

@@ -139,6 +139,17 @@ def test_bounds_refine_needs_strict(files, capsys):
     assert "refine" not in rep
 
 
+@pytest.mark.parametrize("M, kind", [(SYM, "strict"), (np.eye(2), "closed"), ([[1, -1], [1, 1]], "fail")])
+def test_bounds_rejects_negative_refine_for_every_class(M, kind, files, capsys):
+    matrix, _, _, _ = files
+    path = matrix("m.json", M)
+    assert run(capsys, "certify", path)[1]["certificate"]["classification"] == kind
+    assert main(["bounds", path, "--refine", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "conegap: iteration count must be nonnegative\n"
+
+
 def test_metric_command(files, capsys):
     _, vectors, _, _ = files
     vpath = vectors("v.json", [[1, 1], [1, 2]])
@@ -235,7 +246,6 @@ def test_gap_rejects_bad_iteration_arguments(files, capsys):
     matrix, _, _, _ = files
     path = matrix("sym.json", SYM)
     cases = [
-        (["--starts", "0"], "start"), (["--starts", "-3"], "start"),
         (["--tol", "-1"], "tolerance"), (["--tol", "nan"], "tolerance"), (["--tol", "inf"], "tolerance"),
         (["--max-iter", "-5"], "max_iter"), (["--max-iter", "0"], "max_iter"),
     ]
@@ -246,6 +256,19 @@ def test_gap_rejects_bad_iteration_arguments(files, capsys):
         assert word in captured.err
     assert main(["gap", path, "--tol", "0"]) == 0  # stops only at an exact fixed point
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--starts", "8"], ["gap", "--deflate-iters", "200"], ["bounds", "--ones"],
+])
+def test_fixed_settings_have_no_flag(argv, files, capsys):
+    # deflation always runs 8 starts x 200 steps, and bounds defaults to the all-ones vector
+    matrix, _, _, _ = files
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], matrix("sym.json", SYM), *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_verify_needs_small_matrix(files, capsys):
@@ -272,7 +295,7 @@ def test_verify_checks_the_oracle_cap_before_the_sweep(files, capsys, monkeypatc
 def test_gap_and_kernel_refute_an_observed_gap_above_eta1(files, capsys, monkeypatch):
     matrix, _, kernel, _ = files
     # a deflated radius of 10 |lam| is an observed gap of 10, far above eta1(theta) < 1
-    monkeypatch.setattr("conegap.spectral.deflated_radius", lambda A, t, *args: 10.0 * abs(t.lam))
+    monkeypatch.setattr("conegap.spectral.deflated_radius", lambda A, t, **kwargs: 10.0 * abs(t.lam))
     x = np.linspace(0.0, 1.0, 6)
     grid = KernelGrid(x, np.full(6, 1 / 6), np.exp(-((x[:, None] - x[None, :]) ** 2)))
     for command, path in (("gap", matrix("sym.json", SYM)), ("kernel", kernel("g6.json", grid))):

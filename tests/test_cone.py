@@ -493,3 +493,21 @@ def test_random_member_lands_in_cone(rng):
         n = int(rng.integers(1, 8))
         assert member_closed(random_member(rng, n))
         assert member_open(random_member(rng, n, interior=True))
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any draw.
+
+    A size check that came after the first draw would then fail the test
+    instead of looping forever at n = 0.
+    """
+
+    def __getattr__(self, name):
+        raise AssertionError(f"random_member drew ({name}) before checking n")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("interior", [False, True])
+def test_random_member_rejects_sizes_below_one(n, interior):
+    with pytest.raises(ValueError, match="n >= 1"):
+        random_member(_NoDraws(), n, interior=interior)

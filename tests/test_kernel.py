@@ -144,14 +144,14 @@ def test_pipeline_gaussian_eight_nodes():
     ev = dense_spectrum_oracle(L)
     assert abs(ev[1]) / abs(ev[0]) <= eta1(cert.theta)
     # a threshold above the noise floor is attainable
-    t2 = kernel_certify(grid, power_tol=0.05).triple
+    t2 = gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), 0.05).triple
     assert t2.converged and t2.metric_error <= 0.05
 
 
 def test_gaussian_eight_nodes_both_orbits_stop_early():
     grid = gauss_grid(8, gaussian)
     # converged needs the right and the left orbit to stop within max_iter
-    triple = kernel_certify(grid, max_iter=100).triple
+    triple = gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), 1e-12, 100).triple
     assert triple.converged and triple.metric_error <= 1e-12
     L = nystrom_matrix(grid)
     ev, vecs = np.linalg.eig(L)
@@ -253,7 +253,7 @@ def test_non_converged_orbit_skips_deflation():
     # L = [[1, .001], [.002, 1]] certifies strict, but every certified rate
     # rounds to 1, so the orbit cannot stop
     grid = KernelGrid([0.0, 1.0], [1.0, 1.0], [[1.0, 0.002], [0.001, 1.0]])
-    res = kernel_certify(grid, max_iter=50)
+    res = gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), 1e-12, 50)
     assert res.certificate.strict
     assert res.triple is not None and not res.triple.converged
     assert res.r_deflated is None
@@ -285,5 +285,5 @@ def test_discretization_consistency():
     lam = {}
     for n in (12, 16):
         grid = gauss_grid(n, gaussian, lo, hi)
-        lam[n] = kernel_certify(grid, power_tol=1e-11).triple.lam
+        lam[n] = gap_pipeline(nystrom_matrix(grid), kernel_theta(grid), 1e-11).triple.lam
     assert abs(lam[12] - lam[16]) <= 1e-12 * abs(lam[16])

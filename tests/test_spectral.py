@@ -438,7 +438,7 @@ HARD = np.array([[1.0, 0.001], [0.002, 1.0]])
 
 def test_gap_pipeline_stops_at_each_stage(monkeypatch):
     calls = []
-    monkeypatch.setattr(spectral, "deflated_radius", lambda *args: calls.append(args))
+    monkeypatch.setattr(spectral, "deflated_radius", lambda *args, **kwargs: calls.append(args))
     cert = certify_matrix(np.eye(2))
     res = gap_pipeline(np.eye(2), cert)
     assert res.certificate is cert and not cert.strict
@@ -455,18 +455,19 @@ def test_gap_pipeline_stops_at_each_stage(monkeypatch):
 def test_gap_pipeline_is_power_eigen_then_deflated_radius(rng):
     for _ in range(4):
         A, cert = random_certified_matrix(rng)
-        for args in ((), (1e-9, 500, 50, 3, 7)):
+        for args in ((), (1e-9, 500, 7)):
             res = gap_pipeline(A, cert, *args)
-            tol, max_iter, deflate_iters, starts, seed = args or (1e-12, 1000, 200, 8, 0)
+            tol, max_iter, seed = args or (1e-12, 1000, 0)
             t = power_eigen(A, cert, tol, max_iter)
             assert t.converged
             assert_same_triple(res.triple, t)
-            assert res.r_deflated == deflated_radius(A, t, deflate_iters, starts, seed)
+            # the deflation always runs its 200 steps from 8 starts
+            assert res.r_deflated == deflated_radius(A, t, 200, 8, seed)
             assert res.certificate is cert
 
 
 def test_gap_pipeline_refutes_a_gap_above_eta1(monkeypatch):
     # a deflated radius of 10 |lam| is an observed gap of 10, far above eta1(theta) < 1
-    monkeypatch.setattr(spectral, "deflated_radius", lambda A, t, *args: 10.0 * abs(t.lam))
+    monkeypatch.setattr(spectral, "deflated_radius", lambda A, t, **kwargs: 10.0 * abs(t.lam))
     with pytest.raises(RuntimeError, match="observed gap .* exceeds the certified bound"):
         gap_pipeline(SYM, certify_matrix(SYM))
