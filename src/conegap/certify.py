@@ -13,6 +13,12 @@ refined rate from the full quadruple, and a diameter bound for the image.
 The sweep over all blocks is a chunked array evaluation of this one test.
 Its output is bit-identical to testing block by block with the scalar
 core2x2 predicates, which stay the reference the tests compare against.
+A full sweep walks the blocks by whole row pairs, so their entry indices
+come from adding row offsets to column pairs, not from dividing block
+numbers. Most blocks of a certifiable matrix are open, and an open block is
+closed, has a positive denominator and has every log argument defined, so
+the closed test, the undefined-theta rule and the guards on theta and the
+logarithms run only on the blocks that are not open (see _block_tests).
 When A is square and exactly symmetric (A == A^T), the block (p, q, i, j)
 is the transpose of the block (i, j, p, q). Every test quantity, the margin
 tol * frob2 included, is the same bit for bit for a block and its transpose
@@ -47,7 +53,9 @@ __all__ = [
 ]
 
 # Blocks per array evaluation. It bounds the sweep's working memory (a few MB)
-# whatever the matrix size; larger chunks are no faster.
+# whatever the matrix size. A chunk of a full sweep may start or end inside a
+# row pair. On complex n x n inputs 2048 was slower at n = 24-32, and 8192 and
+# 16384 at n = 16-24.
 CHUNK_BLOCKS = 4096
 
 
@@ -100,11 +108,6 @@ class ContractionCertificate:
         return self.classification == "strict"
 
 
-def _log_arg(s, dmod):
-    # argument of log in core2x2._log_ratio, +inf where that returns +inf
-    return np.where(s - dmod > 0.0, (s + dmod) / (s - dmod), np.inf)
-
-
 def _block_tests(re, im, sq, entries, tol, pad=None):
     """The 2x2 test on blocks (a, b, c, d) = (M[i,p], M[j,p], M[i,q], M[j,q]), as arrays.
 
@@ -121,6 +124,15 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
     out in the order CPython evaluates them and moduli use hypot, as
     abs(complex) does.
 
+    The guarded values, theta and the log arguments (x + dmod) / (x - dmod)
+    for x in den, S2 and S3, are first computed for every block as if it were
+    open, and the closed test, the theta rules and the guards then run on the
+    blocks that are not open only. That is exact: an open block has
+    fl(den - s) > dmod with s >= 0, hence den > dmod >= 0, so it is closed,
+    its theta is defined, and den, S2 and S3 all exceed dmod (hypot never
+    rounds below |den|, and the pad moves all three alike). The guard on the
+    ratio runs only when some |ad| or |bc| is not positive.
+
     pad = (mod, err) gives the entries' moduli and bounds on their errors.
     Every block quantity is then moved by the most those errors allow, in the
     direction that hurts: the Re-products, R, S2 and S3 down, |ad - bc| up,
@@ -130,10 +142,9 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
     bit for bit, as products and sums commute, except that its S2 and S3, so
     its d2 and d3 log arguments, are the block's S3 and S2.
     """
-    a, b, c, d = entries
-    ar, ai, br, bi = re[a], im[a], re[b], im[b]
-    cr, ci, dr, di = re[c], im[c], re[d], im[d]
-    s = tol * ((sq[a] + sq[d]) + (sq[b] + sq[c]))
+    (ar, br, cr, dr), (ai, bi, ci, di) = re.take(entries), im.take(entries)
+    sa, sb, sc, sd = sq.take(entries)
+    s = tol * ((sa + sd) + (sb + sc))
     re_ab = ar * br + ai * bi
     re_ac = ar * cr + ai * ci
     re_bd = br * dr + bi * di
@@ -151,10 +162,10 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
 
     if pad is not None:
         mod, err = pad
-        ma, mb, mc = mod[a], mod[b], mod[c]
-        ea, eb, ec, ed = err[a], err[b], err[c], err[d]
+        ma, mb, mc, md = mod.take(entries)
+        ea, eb, ec, ed = err.take(entries)
         # |xy - x'y'| <= |x| e_y + e_x (|y| + e_y) when |x - x'| <= e_x, |y - y'| <= e_y
-        ub, uc, ud = mb + eb, mc + ec, mod[d] + ed
+        ub, uc, ud = mb + eb, mc + ec, md + ed
         re_ab = re_ab - (ma * eb + ea * ub)
         re_ac = re_ac - (ma * ec + ea * uc)
         re_bd = re_bd - (mb * ed + eb * ud)
@@ -166,19 +177,31 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
         na_lo, na_hi = na - pad_ad, na + pad_ad
         nb_lo, nb_hi = nb - pad_bc, nb + pad_bc
 
-    is_open = (re_ab > s) & (re_ac > s) & (re_bd > s) & (re_cd > s) & (dmod < den - s)
-    neg_s = -s
-    is_closed = ((re_ab >= neg_s) & (re_ac >= neg_s) & (re_bd >= neg_s) & (re_cd >= neg_s)
-                 & (dmod <= den + s))
-    nonpos = den <= 0.0
-    theta = np.where(nonpos, 0.0, dmod / den)
-    undefined = nonpos & ~(dmod <= s)  # zero determinant is rank-degenerate, theta 0
+    re_min = np.minimum(np.minimum(re_ab, re_ac), np.minimum(re_bd, re_cd))  # NaN if one is
+    is_open = (re_min > s) & (dmod < den - s)
+    # the guarded values, computed as if every block were open; log_args are
+    # the arguments of log in core2x2._log_ratio
+    theta = dmod / den
+    log_args = [(x + dmod) / (x - dmod) for x in (den, s2, s3)]
+    is_closed = is_open.copy()
+    undefined = np.zeros(is_open.size, dtype=bool)
+    rest = (~is_open).nonzero()[0]
+    if rest.size:  # from here on s, dmod and den are those of the blocks that are not open
+        s, dmod, den = s[rest], dmod[rest], den[rest]
+        is_closed[rest] = (re_min[rest] >= -s) & (dmod <= den + s)
+        nonpos = den <= 0.0
+        theta[rest[nonpos]] = 0.0
+        undefined[rest] = nonpos & ~(dmod <= s)  # zero determinant is rank-degenerate, theta 0
+        for arg, x in zip(log_args, (den, s2[rest], s3[rest])):
+            arg[rest] = np.where(x - dmod > 0.0, arg[rest], np.inf)  # +inf where _log_ratio gives it
 
-    positive = (na_lo > 0.0) & (nb_lo > 0.0)
-    ratio4_lo = np.where(positive, na_lo / nb_hi, np.inf)
-    ratio4_hi = ratio4_lo if pad is None else np.where(positive, na_hi / nb_lo, np.inf)
-    return (is_open, is_closed, theta, undefined, _log_arg(den, dmod),
-            _log_arg(s2, dmod), _log_arg(s3, dmod), ratio4_lo, ratio4_hi)
+    ratio4_lo = na_lo / nb_hi
+    ratio4_hi = ratio4_lo if pad is None else na_hi / nb_lo
+    if not (na_lo.min() > 0.0 and nb_lo.min() > 0.0):  # NaN fails here too
+        positive = (na_lo > 0.0) & (nb_lo > 0.0)
+        ratio4_lo = np.where(positive, ratio4_lo, np.inf)
+        ratio4_hi = ratio4_lo if pad is None else np.where(positive, ratio4_hi, np.inf)
+    return (is_open, is_closed, theta, undefined, *log_args, ratio4_lo, ratio4_hi)
 
 
 def certify_matrix(A, tol: float = DEFAULT_TOL, sample: int | None = None, rng=None) -> ContractionCertificate:
@@ -198,9 +221,9 @@ def certify_matrix(A, tol: float = DEFAULT_TOL, sample: int | None = None, rng=N
     theta2, deltas), which remain the reference: witnesses are the first
     non-open, the first non-closed and the first theta-maximal block, as in a
     block-by-block loop. An exactly symmetric square A (A == A^T) is swept
-    by half, see _sweep.
+    by half, see _sweep. The margin tol must be finite and nonnegative.
     """
-    M = _certifiable(A)
+    M = _certifiable(A, tol)
     blocks = None  # None: every block
     if sample is not None:
         if sample < 1:
@@ -222,14 +245,17 @@ def certify_perturbed(A, err, tol: float = DEFAULT_TOL) -> ContractionCertificat
     of X from above. The margin tol * frob2 is taken on the blocks of A. With
     err all zero this is certify_matrix(A, tol).
     """
-    M = _certifiable(A)
+    M = _certifiable(A, tol)
     E = np.asarray(err, dtype=float)
     if E.shape != M.shape or not np.all(np.isfinite(E)) or np.any(E < 0.0):
         raise ValueError("err must be a finite nonnegative matrix of the same shape")
     return _sweep(M, tol, None, np.ascontiguousarray(E).ravel())
 
 
-def _certifiable(A) -> np.ndarray:
+def _certifiable(A, tol: float) -> np.ndarray:
+    # a negative margin would loosen the open test past the class boundary
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"margin tol must be finite and nonnegative, got {tol}")
     M = as_matrix(A)
     if M.shape[0] < 2 or M.shape[1] < 2:
         raise ValueError("certification needs at least 2 rows and 2 columns")
@@ -241,30 +267,61 @@ def _block_count(M: np.ndarray) -> int:
     return (n * (n - 1) // 2) * (m * (m - 1) // 2)
 
 
-def _listed_chunks(blocks, total: int, n_col_pairs: int):
-    """(block numbers, row pairs, column pairs) of the sorted blocks, or of all total blocks if None."""
-    count = total if blocks is None else blocks.size
-    for start in range(0, count, CHUNK_BLOCKS):
-        stop = min(start + CHUNK_BLOCKS, count)
-        ks = np.arange(start, stop) if blocks is None else blocks[start:stop]
-        yield (ks, *np.divmod(ks, n_col_pairs))
+def _full_chunks(rows, cols, total: int):
+    """(block numbers, entries) of all total blocks, CHUNK_BLOCKS at a time.
+
+    rows holds the flat offsets (i * m, j * m) of the row pairs and cols the
+    column pairs (p, q), as 2 x count arrays; block k has row pair k // count
+    and column pair k % count, where count is the number of column pairs. A
+    chunk takes the entries of the whole row pairs it touches, every row
+    offset plus every column pair, and cuts its blocks from them, so no block
+    number is divided and no index gathered.
+    """
+    n_col_pairs = cols.shape[1]
+    for start in range(0, total, CHUNK_BLOCKS):
+        stop = min(start + CHUNK_BLOCKS, total)
+        first, offset = divmod(start, n_col_pairs)
+        last = (stop - 1) // n_col_pairs
+        run = _entries(rows[:, first:last + 1, None], cols[:, None, :])
+        yield np.arange(start, stop), run[:, offset:offset + stop - start]
 
 
-def _half_chunks(n_pairs: int):
-    """(block numbers, row pairs, column pairs) of the blocks with row pair <= column pair.
+def _listed_chunks(blocks, rows, cols):
+    """(block numbers, entries) of the sorted block numbers blocks, CHUNK_BLOCKS at a time."""
+    n_col_pairs = cols.shape[1]
+    for start in range(0, blocks.size, CHUNK_BLOCKS):
+        ks = blocks[start:start + CHUNK_BLOCKS]
+        rp, cp = np.divmod(ks, n_col_pairs)
+        yield ks, _entries(rows.take(rp, axis=1), cols.take(cp, axis=1))
+
+
+def _half_chunks(rows, cols):
+    """(block numbers, entries) of the blocks with row pair <= column pair.
 
     They run in row-major order, and each chunk's pairs come from its own
     positions h in that order, so the n_pairs (n_pairs + 1) / 2 of them are
     never held at once.
     """
-    rows = np.arange(n_pairs)
-    row_start = rows * n_pairs - rows * (rows - 1) // 2  # position of the pair (r, r)
+    n_pairs = cols.shape[1]
+    pairs = np.arange(n_pairs)
+    row_start = pairs * n_pairs - pairs * (pairs - 1) // 2  # position of the pair (r, r)
     count = n_pairs * (n_pairs + 1) // 2
     for start in range(0, count, CHUNK_BLOCKS):
         h = np.arange(start, min(start + CHUNK_BLOCKS, count))
         rp = np.searchsorted(row_start, h, side="right") - 1
         cp = h - row_start[rp] + rp
-        yield rp * n_pairs + cp, rp, cp
+        yield rp * n_pairs + cp, _entries(rows.take(rp, axis=1), cols.take(cp, axis=1))
+
+
+def _entries(rows, cols):
+    """Flat indices (a, b, c, d) = (i m + p, j m + p, i m + q, j m + q), one column per block.
+
+    rows[0] and rows[1] give i m and j m, cols[0] and cols[1] give p and q,
+    broadcast against each other. Callers pick listed pairs with
+    take(..., axis=1), since the fancy index rows[:, rp] is about ten times
+    slower.
+    """
+    return (cols[:, None] + rows[None]).reshape(4, -1)
 
 
 class _Witnesses:
@@ -314,18 +371,25 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
     and d2; _Witnesses finds the witnesses of the full order among them. The
     padded sweep of certify_perturbed stays full: its pad on bc is not
     symmetric in b and c.
+
+    Otherwise a full sweep walks every block in order by whole row pairs
+    (_full_chunks), and a sampled one looks up the pairs of its listed blocks
+    (_listed_chunks).
     """
     n, m = M.shape
     rows_i, rows_j = _pair_index(n, 1)
     cols_p, cols_q = _pair_index(m, 1)
     n_col_pairs = cols_p.size  # block k is row pair k // n_col_pairs, column pair k % n_col_pairs
+    rows, cols = np.array((rows_i, rows_j)) * m, np.array((cols_p, cols_q))
     total = _block_count(M)
     exhaustive = blocks is None or blocks.size == total
     mirror = blocks is None and err is None and n == m and np.array_equal(M, M.T)
     if mirror:
-        chunks = _half_chunks(n_col_pairs)
+        chunks = _half_chunks(rows, cols)
+    elif blocks is None:
+        chunks = _full_chunks(rows, cols, total)
     else:
-        chunks = _listed_chunks(blocks, total, n_col_pairs)
+        chunks = _listed_chunks(blocks, rows, cols)
 
     re, im = np.ascontiguousarray(M.real).ravel(), np.ascontiguousarray(M.imag).ravel()
     with np.errstate(over="ignore"):
@@ -340,11 +404,9 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
     ratio4_max = ratio4_min = 1.0
 
     with np.errstate(all="ignore"):
-        for ks, rp, cp in chunks:
-            ri, rj = rows_i[rp] * m, rows_j[rp] * m
-            p, q = cols_p[cp], cols_q[cp]
+        for ks, entries in chunks:
             is_open, is_closed, theta, undefined, *log_args, ratio4_lo, ratio4_hi = _block_tests(
-                re, im, sq, (ri + p, rj + p, ri + q, rj + q), tol, pad)
+                re, im, sq, entries, tol, pad)
             # log is monotone, so the sup of the logs is the log of the sup;
             # fmax/fmin and max() skip NaN as the scalar max() of logs does
             sups = [float(np.fmax.reduce(x)) for x in log_args]

@@ -246,7 +246,7 @@ def hilbert_distance(x, y) -> float:
     return float(np.log(ratios.max() / ratios.min()))
 
 
-def random_member(rng: np.random.Generator, n: int, interior: bool = False) -> np.ndarray:
+def random_member(rng: "np.random.Generator", n: int, interior: bool = False) -> np.ndarray:
     """Random member of the closed cone.
 
     Draws orthant parts u1, u2 and a uniform phase lam, then assembles

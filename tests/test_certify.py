@@ -6,12 +6,14 @@ import pytest
 from conegap.certify import (
     ContractionCertificate,
     certify_matrix,
+    certify_perturbed,
     product_gap_bound,
 )
 from conegap.cone import distance, random_member
 from conegap.core2x2 import Complex2x2, DeltaQuadruple, theta2
+from conegap.kernel import KernelGrid, kernel_theta
 from tests.conftest import random_certified_matrix
-from tests.reference_certify import submatrix_T
+from tests.reference_certify import reference_certify, submatrix_T
 
 LOG4 = math.log(4.0)
 SYM = [[2, 1], [1, 2]]
@@ -84,6 +86,27 @@ def test_certify_dimension_and_value_errors():
         certify_matrix([[1, 2]])  # 1 row
     with pytest.raises(ValueError):
         certify_matrix([[1, float("nan")], [1, 1]])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_invalid_margin_is_rejected(tol):
+    # a NaN margin used to give class fail, an infinite one closed, and a
+    # negative one strict, past the exact class boundary
+    grid = KernelGrid([0.0, 1.0], [0.5, 0.5], SYM)
+    for certify in (lambda: certify_matrix(SYM, tol), lambda: certify_matrix(SYM, tol, sample=1),
+                    lambda: certify_perturbed(SYM, np.zeros((2, 2)), tol), lambda: kernel_theta(grid, tol)):
+        with pytest.raises(ValueError, match="margin tol"):
+            certify()
+
+
+def test_zero_margins_keep_the_certificate():
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0.5, 2.0, (4, 5)) * (1.0 + 0.1j * rng.uniform(-1.0, 1.0, (4, 5)))
+    for M in (SYM, A):
+        want = repr(reference_certify(M, 0.0))
+        for tol in (0.0, -0.0):
+            assert repr(certify_matrix(M, tol)) == want
+            assert repr(certify_perturbed(M, np.zeros(np.shape(M)), tol)) == want
 
 
 def test_theta_dominates_every_block():

@@ -16,7 +16,11 @@ from conegap.kernel import nystrom_matrix
 from tests.reference_certify import reference_certify
 
 
-@pytest.fixture(params=[certify.CHUNK_BLOCKS, 7], ids=["chunk-default", "chunk-7"])
+# A full sweep walks whole row pairs; with six columns (15 column pairs) the
+# chunks of 14, 15 and 16 blocks end one block before, at and one block after
+# a row-pair boundary, and later ones start inside a row pair.
+@pytest.fixture(params=[certify.CHUNK_BLOCKS, 7, 14, 15, 16],
+                ids=["chunk-default", "chunk-7", "chunk-14", "chunk-15", "chunk-16"])
 def chunk(request, monkeypatch):
     monkeypatch.setattr(certify, "CHUNK_BLOCKS", request.param)
     return request.param
@@ -71,6 +75,73 @@ def test_larger_matrices_match_reference():
     assert assert_bit_identical(A).classification == "closed"
     A[6, 2] = -1.0
     assert assert_bit_identical(A).classification == "fail"
+
+
+def six_column_matrices(rng):
+    """Strict, closed-with-zeros and failing inputs with 15 column pairs, 5 x 6 and 6 x 6."""
+    out = []
+    for n in (5, 6):
+        strict = rng.uniform(1.0, 2.0, (n, 6)) * np.exp(0.1j * rng.uniform(-1.0, 1.0, (n, 6)))
+        closed = rng.uniform(1.0, 2.0, (n, 6)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        closed[1, [0, 4]] = closed[n - 1, 2] = 0.0
+        fail = strict.copy()
+        fail[n - 2, 3] *= np.exp(2.5j)
+        out += [strict, closed, fail]
+    return out
+
+
+def tiny_matrices(rng):
+    """Six-column inputs near 1e-160, whose block products are subnormal or zero.
+
+    Scaled whole, most blocks stay open in subnormal arithmetic. One entry
+    scaled further makes its products with the others round to zero, so
+    blocks that are not open and zero |ad| or |bc| sit among open ones.
+    """
+    out = []
+    for n in (5, 6):
+        A = 1e-160 * rng.uniform(1.0, 2.0, (n, 6)) * np.exp(0.1j * rng.uniform(-1.0, 1.0, (n, 6)))
+        B = A.copy()
+        B[2, 3] *= 1e-4
+        out += [A, B]
+    return out
+
+
+def test_six_column_inputs_match_reference(chunk):
+    rng = np.random.default_rng(606)
+    classes = set()
+    for A in six_column_matrices(rng) + tiny_matrices(rng):
+        classes.add(assert_bit_identical(A).classification)
+        assert_bit_identical(A, sample=40, seed=6)
+        got = certify_perturbed(A, np.zeros(A.shape))
+        assert repr(got) == repr(reference_certify(A))
+    assert classes == {"strict", "closed", "fail"}
+
+
+def test_padded_certificate_does_not_depend_on_the_chunks(chunk, monkeypatch):
+    rng = np.random.default_rng(607)
+    for A in six_column_matrices(rng) + tiny_matrices(rng):
+        err = 1e-3 * np.abs(A)
+        got = repr(certify_perturbed(A, err))
+        monkeypatch.setattr(certify, "CHUNK_BLOCKS", A.size**2)  # every block in one chunk
+        assert got == repr(certify_perturbed(A, err))
+        monkeypatch.setattr(certify, "CHUNK_BLOCKS", chunk)
+
+
+def test_tiny_inputs_put_guarded_blocks_among_open_ones():
+    for A in tiny_matrices(np.random.default_rng(608))[1::2]:
+        n, m = A.shape
+        rows_i, rows_j = certify._pair_index(n, 1)
+        cols_p, cols_q = certify._pair_index(m, 1)
+        rows, cols = np.array((rows_i, rows_j)) * m, np.array((cols_p, cols_q))
+        re, im = A.real.ravel(), A.imag.ravel()
+        mod = np.hypot(re, im)
+        _, entries = next(certify._full_chunks(rows, cols, rows.shape[1] * cols.shape[1]))
+        with np.errstate(all="ignore"):
+            is_open, *_, ratio4_lo, _ = certify._block_tests(re, im, mod * mod, entries, DEFAULT_TOL)
+        # one chunk holds every block: most are open, some are not, and some
+        # |ad| or |bc| underflows to zero, so the ratio guard runs
+        assert 0.5 < is_open.mean() < 1.0
+        assert np.isinf(ratio4_lo).any()
 
 
 def _preset_grid(tmp_path, name):

@@ -19,6 +19,10 @@ COMMANDS = {
     "certify_identity": ["certify", "demos/data/identity.json"],
     "certify_sym": ["certify", "demos/data/sym.json"],
     "certify_sym8": ["certify", "demos/data/sym8.json"],
+    # complex, not symmetric: these take the full sweep
+    "certify_sweep6_strict": ["certify", "demos/data/sweep6_strict.json"],
+    "certify_sweep6_closed": ["certify", "demos/data/sweep6_closed.json"],
+    "certify_sweep6_fail": ["certify", "demos/data/sweep6_fail.json"],
     "product_sym_sym": ["product", "demos/data/sym.json", "demos/data/sym.json"],
     "kernel_sample5_gaussian8": ["kernel", "--sample", "5", "demos/data/gaussian8.json"],
     "metric_vectors_0_1": ["metric", "demos/data/vectors.json", "0", "1"],
