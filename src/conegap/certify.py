@@ -52,10 +52,11 @@ __all__ = [
     "product_gap_bound",
 ]
 
-# Blocks per array evaluation. It bounds the sweep's working memory (a few MB)
-# whatever the matrix size. A chunk of a full sweep may start or end inside a
-# row pair. On complex n x n inputs 2048 was slower at n = 24-32, and 8192 and
-# 16384 at n = 16-24.
+# Most blocks per array evaluation. It bounds the working memory of a chunk (a
+# few MB) whatever the matrix size. A chunk of a full sweep holds whole row
+# pairs, or part of one when a row pair has more column pairs than this. On
+# complex n x n inputs 2048 was slower at n = 24-32, and 8192 and 16384 at
+# n = 16-24.
 CHUNK_BLOCKS = 4096
 
 
@@ -130,8 +131,7 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
     blocks that are not open only. That is exact: an open block has
     fl(den - s) > dmod with s >= 0, hence den > dmod >= 0, so it is closed,
     its theta is defined, and den, S2 and S3 all exceed dmod (hypot never
-    rounds below |den|, and the pad moves all three alike). The guard on the
-    ratio runs only when some |ad| or |bc| is not positive.
+    rounds below |den|, and the pad moves all three alike).
 
     pad = (mod, err) gives the entries' moduli and bounds on their errors.
     Every block quantity is then moved by the most those errors allow, in the
@@ -195,12 +195,9 @@ def _block_tests(re, im, sq, entries, tol, pad=None):
         for arg, x in zip(log_args, (den, s2[rest], s3[rest])):
             arg[rest] = np.where(x - dmod > 0.0, arg[rest], np.inf)  # +inf where _log_ratio gives it
 
-    ratio4_lo = na_lo / nb_hi
-    ratio4_hi = ratio4_lo if pad is None else na_hi / nb_lo
-    if not (na_lo.min() > 0.0 and nb_lo.min() > 0.0):  # NaN fails here too
-        positive = (na_lo > 0.0) & (nb_lo > 0.0)
-        ratio4_lo = np.where(positive, ratio4_lo, np.inf)
-        ratio4_hi = ratio4_lo if pad is None else np.where(positive, ratio4_hi, np.inf)
+    positive = (na_lo > 0.0) & (nb_lo > 0.0)
+    ratio4_lo = np.where(positive, na_lo / nb_hi, np.inf)
+    ratio4_hi = ratio4_lo if pad is None else np.where(positive, na_hi / nb_lo, np.inf)
     return (is_open, is_closed, theta, undefined, *log_args, ratio4_lo, ratio4_hi)
 
 
@@ -267,23 +264,28 @@ def _block_count(M: np.ndarray) -> int:
     return (n * (n - 1) // 2) * (m * (m - 1) // 2)
 
 
-def _full_chunks(rows, cols, total: int):
-    """(block numbers, entries) of all total blocks, CHUNK_BLOCKS at a time.
+def _full_chunks(rows, cols):
+    """(block numbers, entries) of every block, at most CHUNK_BLOCKS at a time.
 
     rows holds the flat offsets (i * m, j * m) of the row pairs and cols the
     column pairs (p, q), as 2 x count arrays; block k has row pair k // count
     and column pair k % count, where count is the number of column pairs. A
-    chunk takes the entries of the whole row pairs it touches, every row
-    offset plus every column pair, and cuts its blocks from them, so no block
-    number is divided and no index gathered.
+    chunk is a run of whole row pairs, as many as CHUNK_BLOCKS holds, with
+    their entries as every row offset plus every column pair, so no block
+    number is divided and no index gathered. When one row pair has more
+    column pairs than CHUNK_BLOCKS, a chunk is a slice of CHUNK_BLOCKS column
+    pairs of one row pair instead.
     """
-    n_col_pairs = cols.shape[1]
-    for start in range(0, total, CHUNK_BLOCKS):
-        stop = min(start + CHUNK_BLOCKS, total)
-        first, offset = divmod(start, n_col_pairs)
-        last = (stop - 1) // n_col_pairs
-        run = _entries(rows[:, first:last + 1, None], cols[:, None, :])
-        yield np.arange(start, stop), run[:, offset:offset + stop - start]
+    n_row_pairs, n_col_pairs = rows.shape[1], cols.shape[1]
+    group = max(1, CHUNK_BLOCKS // n_col_pairs)  # row pairs per chunk
+    width = min(CHUNK_BLOCKS, n_col_pairs)  # column pairs per chunk
+    for first in range(0, n_row_pairs, group):
+        last = min(first + group, n_row_pairs)
+        for start in range(0, n_col_pairs, width):
+            stop = min(start + width, n_col_pairs)
+            # one of the two ranges is whole, so the block numbers are a run
+            ks = np.arange(first * n_col_pairs + start, (last - 1) * n_col_pairs + stop)
+            yield ks, _entries(rows[:, first:last, None], cols[:, None, start:stop])
 
 
 def _listed_chunks(blocks, rows, cols):
@@ -387,7 +389,7 @@ def _sweep(M: np.ndarray, tol: float, blocks, err=None) -> ContractionCertificat
     if mirror:
         chunks = _half_chunks(rows, cols)
     elif blocks is None:
-        chunks = _full_chunks(rows, cols, total)
+        chunks = _full_chunks(rows, cols)
     else:
         chunks = _listed_chunks(blocks, rows, cols)
 

@@ -16,9 +16,10 @@ from conegap.kernel import nystrom_matrix
 from tests.reference_certify import reference_certify
 
 
-# A full sweep walks whole row pairs; with six columns (15 column pairs) the
-# chunks of 14, 15 and 16 blocks end one block before, at and one block after
-# a row-pair boundary, and later ones start inside a row pair.
+# A full sweep's chunks hold whole row pairs, or slices of one row pair when it
+# has more column pairs than a chunk holds. With six columns (15 column pairs)
+# chunks of 14, 15 and 16 blocks hold one block less than, exactly and one
+# block more than a row pair, so the first cuts each row pair in two.
 @pytest.fixture(params=[certify.CHUNK_BLOCKS, 7, 14, 15, 16],
                 ids=["chunk-default", "chunk-7", "chunk-14", "chunk-15", "chunk-16"])
 def chunk(request, monkeypatch):
@@ -127,21 +128,50 @@ def test_padded_certificate_does_not_depend_on_the_chunks(chunk, monkeypatch):
         monkeypatch.setattr(certify, "CHUNK_BLOCKS", chunk)
 
 
-def test_tiny_inputs_put_guarded_blocks_among_open_ones():
+def test_tiny_inputs_put_guarded_blocks_among_open_ones(monkeypatch):
     for A in tiny_matrices(np.random.default_rng(608))[1::2]:
         n, m = A.shape
-        rows_i, rows_j = certify._pair_index(n, 1)
-        cols_p, cols_q = certify._pair_index(m, 1)
-        rows, cols = np.array((rows_i, rows_j)) * m, np.array((cols_p, cols_q))
-        re, im = A.real.ravel(), A.imag.ravel()
-        mod = np.hypot(re, im)
-        _, entries = next(certify._full_chunks(rows, cols, rows.shape[1] * cols.shape[1]))
-        with np.errstate(all="ignore"):
-            is_open, *_, ratio4_lo, _ = certify._block_tests(re, im, mod * mod, entries, DEFAULT_TOL)
-        # one chunk holds every block: most are open, some are not, and some
-        # |ad| or |bc| underflows to zero, so the ratio guard runs
-        assert 0.5 < is_open.mean() < 1.0
-        assert np.isinf(ratio4_lo).any()
+        blocks = [Complex2x2(*(complex(A[r, c]) for r, c in ((i, p), (j, p), (i, q), (j, q))))
+                  for i, j in itertools.combinations(range(n), 2)
+                  for p, q in itertools.combinations(range(m), 2)]
+        # most blocks are open, some are not, and some |ad| or |bc|
+        # underflows to zero, so the guards run inside an open chunk
+        assert 0.5 < np.mean([in_gamma_open(T) for T in blocks]) < 1.0
+        assert any(T.a * T.d == 0 or T.b * T.c == 0 for T in blocks)
+        monkeypatch.setattr(certify, "CHUNK_BLOCKS", len(blocks))  # every block in one chunk
+        assert_bit_identical(A)
+
+
+@pytest.mark.parametrize("shape", [(2, 40), (40, 2), (3, 25)])
+def test_full_sweep_chunks_never_exceed_the_chunk_size(shape, monkeypatch):
+    # 780 column pairs at 2 x 40: each row pair is cut into slices
+    rng = np.random.default_rng(609)
+    A = rng.uniform(1.0, 2.0, shape) * np.exp(0.7j)
+    A[1, 1] = 0.0  # closed: the non-open path runs in some chunks
+    n, m = shape
+    counts = count_blocks(monkeypatch)
+    for size in (7, 100, 779, 780, 781, 4096):
+        monkeypatch.setattr(certify, "CHUNK_BLOCKS", size)
+        counts.clear()
+        assert assert_bit_identical(A).classification == "closed"
+        assert max(counts) <= size
+        assert sum(counts) == (n * (n - 1) // 2) * (m * (m - 1) // 2)
+
+
+def test_wide_sweep_memory_stays_small():
+    # 499 500 column pairs in one row pair: chunks are slices of it
+    rng = np.random.default_rng(1)
+    A = rng.uniform(1.0, 2.0, (2, 1000)) * np.exp(0.1j * rng.uniform(-1.0, 1.0, (2, 1000)))
+    tracemalloc.start()
+    try:
+        cert = certify_matrix(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.strict and cert.exhaustive
+    # the column pairs take 8 MB here, twice while they are stacked; a chunk
+    # of at most CHUNK_BLOCKS blocks adds under 2 MB
+    assert peak < 24 * 2**20
 
 
 def _preset_grid(tmp_path, name):
